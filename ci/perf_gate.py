@@ -50,6 +50,12 @@ measure queue occupancy under deliberate Block backpressure — they
 swing an order of magnitude with host load, so they are carried in the
 artifact for inspection but never gated.
 
+Artifacts may carry a top-level ``host`` fingerprint (``t_dsp`` writes
+CPU counts, CPU model, SIMD kernel path and compiler). When the baseline
+and fresh fingerprints differ, or only one file has one, the gate prints
+a note naming the differing fields, because the ratios then mix code and
+hardware changes. The note never changes the verdict.
+
 Only entries present in BOTH files are compared (CI smoke runs a subset
 of the baseline matrix). Improvements never fail; a fresh value below
 ``baseline * (1 - tolerance)`` does. Exits 0 on pass, 1 on regression,
@@ -123,6 +129,25 @@ def entries(doc):
         raise KeyError("neither 'scenarios' nor 'results' present")
 
 
+def host_note(base_doc, fresh_doc):
+    """Describe how the two artifacts' host fingerprints differ.
+
+    Returns None when they match or neither artifact carries one.
+    """
+    base, fresh = base_doc.get("host"), fresh_doc.get("host")
+    if base is None and fresh is None:
+        return None
+    if base is None or fresh is None:
+        which = "fresh" if base is None else "baseline"
+        return f"note: only the {which} artifact carries a host fingerprint"
+    diffs = [f"{k}: {base.get(k)!r} -> {fresh.get(k)!r}"
+             for k in sorted(set(base) | set(fresh)) if base.get(k) != fresh.get(k)]
+    if not diffs:
+        return None
+    return ("note: baseline and fresh runs come from different hosts ("
+            + "; ".join(diffs) + "); ratios mix code and hardware changes")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -137,12 +162,18 @@ def main():
 
     try:
         with open(args.baseline) as f:
-            base = dict(entries(json.load(f)))
+            base_doc = json.load(f)
         with open(args.fresh) as f:
-            fresh = dict(entries(json.load(f)))
+            fresh_doc = json.load(f)
+        base = dict(entries(base_doc))
+        fresh = dict(entries(fresh_doc))
     except (OSError, ValueError, KeyError) as e:
         print(f"perf gate: cannot read artifacts: {e}", file=sys.stderr)
         return 2
+
+    note = host_note(base_doc, fresh_doc)
+    if note:
+        print(f"  {note}")
 
     common = sorted(set(base) & set(fresh), key=str)
     if not common:

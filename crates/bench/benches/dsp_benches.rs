@@ -1,15 +1,16 @@
 //! DSP substrate microbenchmarks: the per-sweep FFT dominates the §7
 //! real-time budget, so its cost at the paper's exact 2500-sample length
-//! (Bluestein) and at the nearest power of two (radix-2) are both tracked.
+//! (mixed radix, 2²·5⁴), at a prime length next to it (the Bluestein
+//! fallback) and at the nearest powers of two (radix-2) are all tracked.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use witrack_dsp::kalman::{Kalman1D, KalmanConfig};
-use witrack_dsp::{Complex, Czt, Fft};
+use witrack_dsp::{Complex, Fft, RealBand};
 
 fn bench_fft(c: &mut Criterion) {
     let mut group = c.benchmark_group("fft");
-    for n in [2048usize, 2500, 4096] {
+    for n in [2048usize, 2500, 2503, 4096] {
         let data: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.1).sin(), 0.0))
             .collect();
@@ -25,18 +26,18 @@ fn bench_fft(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_czt(c: &mut Criterion) {
-    // The zoomed range transform at the paper shape: 2500 real samples in,
-    // 200 range bins out (vs the 2500-bin full Bluestein above).
-    let mut group = c.benchmark_group("czt");
+fn bench_real_band(c: &mut Criterion) {
+    // The range profiler's transform at the paper shape: 2500 real samples
+    // in, one 1250-point complex FFT, `keep` range bins out.
+    let mut group = c.benchmark_group("real_band");
     let n = 2500;
     let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
-    for keep in [100usize, 200, 400] {
-        let czt = Czt::new(n, keep);
-        let mut scratch = czt.make_scratch();
+    for keep in [100usize, 171, 400] {
+        let band = RealBand::new(n, keep);
+        let mut scratch = band.make_scratch();
         let mut out = vec![Complex::ZERO; keep];
-        group.bench_function(format!("zoom_{n}_keep{keep}"), |b| {
-            b.iter(|| czt.transform_into(black_box(&signal), &mut out, &mut scratch))
+        group.bench_function(format!("band_{n}_keep{keep}"), |b| {
+            b.iter(|| band.forward_into(black_box(&signal), &mut out, &mut scratch))
         });
     }
     group.finish();
@@ -68,7 +69,7 @@ fn bench_regression(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_fft,
-    bench_czt,
+    bench_real_band,
     bench_kalman,
     bench_regression
 );

@@ -1,22 +1,18 @@
-//! The §4.1 profile stage in isolation, old path vs new: windowing one
-//! frame's averaged sweep, transforming it, and keeping the indoor range
-//! band, for all three receive antennas at the paper configuration
-//! (n = 2500 samples, ~200 kept bins).
+//! The §4.1 profile stage in isolation, plain path vs production: windowing
+//! one frame's averaged sweep, transforming it, and keeping the indoor
+//! range band, for all three receive antennas at the paper configuration
+//! (n = 2500 samples, 171 kept bins).
 //!
-//! * `bluestein_full_3ant` reproduces the pre-CZT production path: a full
-//!   2500-point Bluestein FFT (inner radix-2 length 8192) followed by
-//!   truncation.
-//! * `czt_zoom_3ant` is the current path: the pruned, real-input-packed
-//!   chirp-Z zoom transform (inner length 2048) computing only the kept
-//!   bins.
-//!
-//! The acceptance bar for the zoom transform is ≥ 2× over the Bluestein
-//! path on this stage.
+//! * `full_fft_3ant` is the plain path: a full 2500-point complex FFT of
+//!   the real sweep (mixed radix, 4·5⁴) followed by truncation.
+//! * `real_band_3ant` is the production path: the sweep packed two reals
+//!   to a complex point, one 1250-point FFT (2·5⁴), and only the kept
+//!   bins unpacked.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use witrack_dsp::window::WindowKind;
-use witrack_dsp::{Complex, Czt, Fft};
+use witrack_dsp::{Complex, Fft, RealBand};
 use witrack_fmcw::{RangeProfiler, SweepConfig};
 
 /// One synthetic dechirped sweep per antenna (distinct tones so the work
@@ -43,12 +39,12 @@ fn bench_profile_stage(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("profile_stage");
 
-    // Pre-PR path: window → full-length Bluestein FFT → truncate.
+    // Plain path: window → full-length complex FFT → truncate.
     {
         let mut plan = Fft::new(n);
         let mut buf = vec![Complex::ZERO; n];
         let mut out = vec![Complex::ZERO; keep];
-        group.bench_function(format!("bluestein_full_3ant_n{n}_keep{keep}"), |b| {
+        group.bench_function(format!("full_fft_3ant_n{n}_keep{keep}"), |b| {
             b.iter(|| {
                 for sweep in &sweeps {
                     for ((z, &x), &w) in buf.iter_mut().zip(sweep).zip(&window) {
@@ -62,26 +58,23 @@ fn bench_profile_stage(c: &mut Criterion) {
         });
     }
 
-    // Current path: window → pruned zoom CZT straight into the kept band.
+    // Production path: window → packed half-length FFT → kept band.
     {
-        let czt = Czt::new(n, keep);
-        let mut scratch = czt.make_scratch();
+        let band = RealBand::new(n, keep);
+        let mut scratch = band.make_scratch();
         let mut windowed = vec![0.0; n];
         let mut out = vec![Complex::ZERO; keep];
-        group.bench_function(
-            format!("czt_zoom_3ant_n{n}_keep{keep}_inner{}", czt.inner_len()),
-            |b| {
-                b.iter(|| {
-                    for sweep in &sweeps {
-                        for ((y, &x), &w) in windowed.iter_mut().zip(sweep).zip(&window) {
-                            *y = x * w;
-                        }
-                        czt.transform_into(&windowed, &mut out, &mut scratch);
-                        black_box(&out);
+        group.bench_function(format!("real_band_3ant_n{n}_keep{keep}"), |b| {
+            b.iter(|| {
+                for sweep in &sweeps {
+                    for ((y, &x), &w) in windowed.iter_mut().zip(sweep).zip(&window) {
+                        *y = x * w;
                     }
-                })
-            },
-        );
+                    band.forward_into(&windowed, &mut out, &mut scratch);
+                    black_box(&out);
+                }
+            })
+        });
     }
 
     group.finish();

@@ -1,35 +1,45 @@
 //! t_dsp — DSP hot-path kernel microbenchmarks, with a machine-readable
 //! `BENCH_dsp.json` artifact.
 //!
-//! The profile stage (window → pack → CZT zoom transform) is the per-
-//! frame cost that bounds sensors-per-core, so this harness times its
-//! kernels at the paper shape (2500 samples/sweep, 5 sweeps/frame,
-//! 3 receive antennas) three ways:
+//! The profile stage (window → pack → band transform) is the per-frame
+//! cost that bounds sensors-per-core, so this harness times its kernels at
+//! the paper shape (2500 samples/sweep, 5 sweeps/frame, 3 receive
+//! antennas) two ways:
 //!
 //! * the **dispatched** path (AVX2+FMA where the host has it, selected
 //!   once per process by `witrack_dsp::simd::active()`);
 //! * the **scalar** reference kernels (`witrack_dsp::simd::scalar`),
 //!   called directly — same process, so the artifact always carries the
-//!   scalar-vs-vector ratio regardless of host;
-//! * the **fixed-point** front half (i16 samples, Q15 window, i32
-//!   accumulation) on both of the above.
+//!   scalar-vs-vector ratio regardless of host.
+//!
+//! The kernel rows cover the window multiply, the fixed-point (i16 × Q15 →
+//! i32) window-accumulate, one radix-5 Stockham pass of the 1250-point
+//! transform, and the whole `band_transform` (dequantizing pack, five
+//! passes, unpack of the kept bins). The kernel path is fixed per
+//! process, so the scalar `band_transform` row is timed by a child
+//! `t_dsp` process started with `WITRACK_DSP_FORCE_SCALAR=1`.
 //!
 //! On top of the kernel rows, two end-to-end rows run a full frame —
 //! 3 antennas × 5 sweeps — through [`RangeProfiler`], once from f64
 //! sweeps and once from wire-quantized i16 sweeps. Those are the
-//! numbers the serving layer's sensors-per-core ceiling is made of.
+//! numbers the serving layer's sensors-per-core ceiling is made of. The
+//! artifact carries a `host` fingerprint (CPU counts and model, kernel
+//! path, compiler) so `ci/perf_gate.py` can say when a baseline came from
+//! another machine.
 //!
 //! Flags: `--iters N` (kernel iterations, default 20000), `--frames N`
 //! (profile-stage frames, default 2000), `--quick` (1/10 of both, for
 //! CI smoke), `--out PATH` (default `BENCH_dsp.json`; `-` skips
-//! writing).
+//! writing), `--band-only` (print the `band_transform` ns/call and exit:
+//! the child mode behind the scalar row).
 
 use std::hint::black_box;
 use std::time::Instant;
+use witrack_bench::host::Host;
 use witrack_bench::printing::banner;
 use witrack_dsp::simd::{self, KernelPath};
 use witrack_dsp::window::WindowKind;
-use witrack_dsp::Complex;
+use witrack_dsp::{Complex, RealBand};
 use witrack_fmcw::{RangeProfiler, SweepConfig};
 
 const MAX_ROUND_TRIP_M: f64 = 22.0;
@@ -38,6 +48,8 @@ struct Options {
     iters: u64,
     frames: u64,
     out: Option<String>,
+    /// Child mode: print the `band_transform` ns/call and exit.
+    band_only: bool,
 }
 
 fn parse_options() -> Options {
@@ -45,6 +57,7 @@ fn parse_options() -> Options {
         iters: 20_000,
         frames: 2_000,
         out: Some("BENCH_dsp.json".into()),
+        band_only: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -66,6 +79,7 @@ fn parse_options() -> Options {
             "--out" => {
                 opts.out = it.next().filter(|s| s != "-");
             }
+            "--band-only" => opts.band_only = true,
             _ => {}
         }
     }
@@ -121,38 +135,64 @@ fn complex_buf(n: usize, seed: u64) -> Vec<Complex> {
         .collect()
 }
 
+/// The range profiler's band shape at the paper configuration.
+fn paper_band(cfg: &SweepConfig) -> std::sync::Arc<RealBand> {
+    RangeProfiler::new(cfg, WindowKind::Hann, MAX_ROUND_TRIP_M)
+        .plan()
+        .clone()
+}
+
+/// ns per `RealBand::forward_q_into` call on this process's kernel path:
+/// dequantizing pack, the complex transform, and the unpack of the kept
+/// bins, from a 5-sweep i32 accumulator like production's.
+fn band_ns(band: &RealBand, iters: u64) -> f64 {
+    let n = band.input_len();
+    let accum: Vec<i32> = (0..n).map(|i| (wobble(i, 4) * 80_000.0) as i32).collect();
+    let mut scratch = band.make_scratch();
+    let mut out = vec![Complex::ZERO; band.output_len()];
+    time_ns(iters, |_| {
+        band.forward_q_into(black_box(&accum), 1.0 / 163_840.0, &mut out, &mut scratch);
+    })
+}
+
+/// The scalar `band_transform` row, timed in a child process pinned to
+/// the scalar path (the path is fixed per process). `None` when the child
+/// cannot run.
+fn scalar_band_ns(iters: u64) -> Option<f64> {
+    let out = std::process::Command::new(std::env::current_exe().ok()?)
+        .args(["--band-only", "--iters", &iters.to_string()])
+        .env("WITRACK_DSP_FORCE_SCALAR", "1")
+        .output()
+        .ok()?;
+    String::from_utf8(out.stdout).ok()?.trim().parse().ok()
+}
+
 /// All kernel rows at the paper sweep length `n`: dispatched path and
-/// the scalar reference, float and fixed-point. `conv` is the pruned
-/// CZT's inner convolution length (what production actually transforms).
-fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
+/// the scalar reference, float and fixed-point.
+fn kernel_rows(n: usize, band: &RealBand, iters: u64) -> Vec<Row> {
     let active = path_name(simd::active());
 
     let window = WindowKind::Hann.shared(n);
     let window_q15 = WindowKind::Hann.shared_q15(n);
     let src: Vec<f64> = (0..n).map(|i| wobble(i, 1)).collect();
     let src_q: Vec<i16> = src.iter().map(|&s| (s * 32767.0).round() as i16).collect();
-    // The pre-chirp packs are two-for-one: n real samples become n/2
-    // complex points.
-    let pre = complex_buf(n / 2, 2);
-    // Unit-magnitude kernel: repeated in-place multiplies must not walk
-    // the buffer off to infinity or down into (slow) denormals.
-    let kernel: Vec<Complex> = (0..conv)
-        .map(|i| Complex::cis(wobble(i, 3) * std::f64::consts::PI))
-        .collect();
     let mut dst = vec![0.0f64; n];
     let mut accum_q = vec![0i32; n];
-    let accum_src: Vec<i32> = (0..n).map(|i| (wobble(i, 4) * 80_000.0) as i32).collect();
-    let mut packed = vec![Complex::ZERO; n / 2];
-    let conv_init = complex_buf(conv, 5);
-    let mut conv_buf = conv_init.clone();
-    // Butterfly passes grow magnitudes by up to 2x per call; restore
-    // pristine data every 16 calls (amortized cost is noise).
-    let fft_a_init = complex_buf(conv / 2, 6);
-    let fft_b_init = complex_buf(conv / 2, 7);
-    let mut fft_a = fft_a_init.clone();
-    let mut fft_b = fft_b_init.clone();
-    let tw: Vec<Complex> = (0..conv / 2)
-        .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / (conv / 2) as f64))
+    // The first radix-5 pass of the packed transform (n/2 = 1250 = 2·5⁴
+    // at the paper shape): stride 2 after the radix-2 pass. Unit-magnitude
+    // twiddles, and the pass reads `pass_src` afresh every call, so the
+    // data never grows.
+    let half = n / 2;
+    let (p, s) = (5, 2);
+    let m = half / (p * s);
+    let pass_src = complex_buf(half, 5);
+    let mut pass_dst = vec![Complex::ZERO; half];
+    let pass_tw: Vec<Complex> = (1..p)
+        .flat_map(|k| {
+            (0..m).map(move |j| {
+                Complex::cis(-2.0 * std::f64::consts::PI * (j * k) as f64 / (half / s) as f64)
+            })
+        })
         .collect();
 
     let mut rows = Vec::new();
@@ -210,93 +250,33 @@ fn kernel_rows(n: usize, conv: usize, iters: u64) -> Vec<Row> {
         }),
     );
 
-    // CZT pre-chirp pack (real signal × complex chirp → complex buf).
+    // One radix-5 Stockham pass over the packed 1250-point buffer.
     push(
-        "pack_premul",
+        "radix5_pass",
         active,
-        n,
+        half,
         time_ns(iters, |_| {
-            simd::pack_premul(&mut packed, black_box(&src), &pre);
+            simd::stockham_pass(black_box(&pass_src), &mut pass_dst, p, s, &pass_tw);
         }),
     );
     push(
-        "pack_premul",
+        "radix5_pass",
         "scalar",
-        n,
+        half,
         time_ns(iters, |_| {
-            simd::scalar::pack_premul(&mut packed, black_box(&src), &pre);
+            simd::scalar::stockham_pass(black_box(&pass_src), &mut pass_dst, p, s, &pass_tw);
         }),
     );
 
-    // Fixed-point pre-chirp pack: the late-dequantize step (i32 → f64
-    // fold into the chirp multiply).
-    push(
-        "pack_premul_q",
-        active,
-        n,
-        time_ns(iters, |_| {
-            simd::pack_premul_q(&mut packed, black_box(&accum_src), 1.0 / 32768.0, &pre);
-        }),
-    );
-    push(
-        "pack_premul_q",
-        "scalar",
-        n,
-        time_ns(iters, |_| {
-            simd::scalar::pack_premul_q(&mut packed, black_box(&accum_src), 1.0 / 32768.0, &pre);
-        }),
-    );
-
-    // The Bluestein convolution's frequency-domain kernel multiply —
-    // the largest single consumer in the profile stage.
-    push(
-        "pointwise_mul",
-        active,
-        conv,
-        time_ns(iters, |i| {
-            if i % 1024 == 0 {
-                conv_buf.copy_from_slice(&conv_init);
-            }
-            simd::pointwise_mul(&mut conv_buf, black_box(&kernel), false);
-        }),
-    );
-    push(
-        "pointwise_mul",
-        "scalar",
-        conv,
-        time_ns(iters, |i| {
-            if i % 1024 == 0 {
-                conv_buf.copy_from_slice(&conv_init);
-            }
-            simd::scalar::pointwise_mul(&mut conv_buf, black_box(&kernel), false);
-        }),
-    );
-
-    // One radix-2 butterfly pass at the convolution FFT's widest rank.
-    push(
-        "butterflies",
-        active,
-        conv / 2,
-        time_ns(iters, |i| {
-            if i % 16 == 0 {
-                fft_a.copy_from_slice(&fft_a_init);
-                fft_b.copy_from_slice(&fft_b_init);
-            }
-            simd::butterflies(&mut fft_a, &mut fft_b, black_box(&tw), false);
-        }),
-    );
-    push(
-        "butterflies",
-        "scalar",
-        conv / 2,
-        time_ns(iters, |i| {
-            if i % 16 == 0 {
-                fft_a.copy_from_slice(&fft_a_init);
-                fft_b.copy_from_slice(&fft_b_init);
-            }
-            simd::scalar::butterflies(&mut fft_a, &mut fft_b, black_box(&tw), false);
-        }),
-    );
+    // The whole band transform of one antenna-frame.
+    push("band_transform", active, n, band_ns(band, iters));
+    if simd::active() == KernelPath::Scalar {
+        push("band_transform", "scalar", n, band_ns(band, iters));
+    } else if let Some(ns) = scalar_band_ns(iters) {
+        push("band_transform", "scalar", n, ns);
+    } else {
+        eprintln!("warning: scalar band_transform child run failed; row omitted");
+    }
 
     rows
 }
@@ -342,25 +322,34 @@ fn main() {
     let opts = parse_options();
     let cfg = SweepConfig::witrack();
     let n = cfg.samples_per_sweep();
+    let band = paper_band(&cfg);
+    if opts.band_only {
+        println!("{:.1}", band_ns(&band, opts.iters));
+        return;
+    }
     banner(
         "t_dsp",
         "profile-stage kernel microbenchmarks (SIMD / scalar / fixed-point)",
         "§3.1 sweep → range profile at 2500 samples, 5 sweeps/frame, 3 rx antennas",
     );
-    // The pruned CZT's inner convolution length at the profiler shape —
-    // sized off a throwaway profiler so the kernel rows measure what
-    // production transforms.
-    let conv = RangeProfiler::new(&cfg, WindowKind::Hann, MAX_ROUND_TRIP_M)
-        .plan()
-        .inner_len();
+    let host = Host::detect();
+    let radices: Vec<String> = band.radices().iter().map(|r| r.to_string()).collect();
     println!(
-        "dispatched kernel path: {} ({} f64 lanes); CZT inner length {}\n",
+        "dispatched kernel path: {} ({} f64 lanes); band transform: {} reals -> {} bins via one \
+         {}-point complex FFT, passes {}",
         path_name(simd::active()),
         simd::active().lanes(),
-        conv
+        n,
+        band.output_len(),
+        n / 2,
+        radices.join("·")
+    );
+    println!(
+        "host: {} ({} cpus, {} in affinity mask), {}\n",
+        host.cpu_model, host.nproc, host.affinity_cpus, host.rustc
     );
 
-    let mut rows = kernel_rows(n, conv, opts.iters);
+    let mut rows = kernel_rows(n, &band, opts.iters);
 
     let f64_ns = profile_frame_ns(&cfg, opts.frames, false);
     let i16_ns = profile_frame_ns(&cfg, opts.frames, true);
@@ -424,9 +413,10 @@ fn main() {
             })
             .collect();
         let json = format!(
-            "{{\n  \"bench\": \"t_dsp\",\n  \"active_path\": \"{}\",\n  \
+            "{{\n  \"bench\": \"t_dsp\",\n  \"active_path\": \"{}\",\n  \"host\": {},\n  \
              \"samples_per_sweep\": {},\n  \"sweeps_per_frame\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
             path_name(simd::active()),
+            host.to_json(),
             n,
             cfg.sweeps_per_frame,
             body.join(",\n")

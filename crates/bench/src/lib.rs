@@ -11,6 +11,7 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
+pub mod host;
 pub mod printing;
 pub mod runner;
 

@@ -8,7 +8,7 @@
 //! consume.
 //!
 //! The per-antenna stages are independent until the §5 solve, so on
-//! frame-completing sweeps (where the heavy zoom transform + contour work
+//! frame-completing sweeps (where the heavy band transform + contour work
 //! happens) they fan out across OS threads with [`std::thread::scope`] when
 //! the host has cores to spare; accumulate-only sweeps and single-core
 //! hosts stay serial, where thread spawning would only add overhead.
@@ -69,6 +69,14 @@ pub fn antenna_parallelism(n_rx: usize) -> bool {
             .unwrap_or(false)
 }
 
+/// The most receive antennas a [`WiTrack`] accepts: the per-frame solve
+/// keeps its round trips in a fixed stack array of this size.
+pub const MAX_RX: usize = 16;
+
+/// Live solves whose component-wise median is reported while any antenna
+/// interpolates.
+const RECENT_LIVE: usize = 5;
+
 /// The WiTrack system: N per-antenna TOF estimators + the 3D solver.
 pub struct WiTrack {
     cfg: WiTrackConfig,
@@ -94,6 +102,8 @@ pub enum BuildError {
     BadSweep(witrack_fmcw::config::ConfigError),
     /// The closed-form solver requires the exact 3-receiver T geometry.
     ClosedFormNeedsTArray,
+    /// The array has more than [`MAX_RX`] receive antennas.
+    TooManyReceivers(usize),
 }
 
 impl std::fmt::Display for BuildError {
@@ -102,6 +112,9 @@ impl std::fmt::Display for BuildError {
             BuildError::BadSweep(e) => write!(f, "invalid sweep config: {e}"),
             BuildError::ClosedFormNeedsTArray => {
                 write!(f, "closed-form solver requires the 3-receiver T geometry")
+            }
+            BuildError::TooManyReceivers(n) => {
+                write!(f, "{n} receive antennas (at most {MAX_RX} supported)")
             }
         }
     }
@@ -130,11 +143,14 @@ impl WiTrack {
 
     /// Builds the pipeline around an arbitrary antenna array (e.g. the §5
     /// over-constrained arrays with > 3 receivers). Forces the least-squares
-    /// solver.
+    /// solver. At most [`MAX_RX`] receive antennas.
     pub fn with_array(cfg: WiTrackConfig, array: AntennaArray) -> Result<WiTrack, BuildError> {
         cfg.sweep.validate().map_err(BuildError::BadSweep)?;
         if cfg.solver == SolverChoice::ClosedForm {
             return Err(BuildError::ClosedFormNeedsTArray);
+        }
+        if array.num_rx() > MAX_RX {
+            return Err(BuildError::TooManyReceivers(array.num_rx()));
         }
         Ok(WiTrack {
             estimators: Self::make_estimators(&cfg, array.num_rx()),
@@ -244,7 +260,7 @@ impl WiTrack {
     {
         // Sweeps that only accumulate are microseconds of work; spawning
         // threads for them would dominate. Fan out only when this sweep
-        // completes a frame (zoom transform + contour + denoise per
+        // completes a frame (band transform + contour + denoise per
         // antenna) and the host is multi-core.
         let completes = self
             .estimators
@@ -317,7 +333,7 @@ impl WiTrack {
             let p = self.solve(&round_trips);
             if let Some(p) = p {
                 self.recent_live.push_back(p);
-                if self.recent_live.len() > 5 {
+                if self.recent_live.len() > RECENT_LIVE {
                     self.recent_live.pop_front();
                 }
             }
@@ -336,15 +352,18 @@ impl WiTrack {
         })
     }
 
-    /// Solves the 3D position from per-antenna round trips (all required).
+    /// Solves the 3D position from per-antenna round trips (all required;
+    /// at most [`MAX_RX`] of them).
     pub fn solve(&self, round_trips: &[Option<f64>]) -> Option<Vec3> {
-        if round_trips.iter().any(|r| r.is_none()) {
-            return None;
+        let mut buf = [0.0; MAX_RX];
+        let rts = buf.get_mut(..round_trips.len())?;
+        for (rt, r) in rts.iter_mut().zip(round_trips) {
+            *rt = (*r)?;
         }
-        let rts: Vec<f64> = round_trips.iter().map(|r| r.expect("checked")).collect();
+        let rts = &*rts;
         match (self.cfg.solver, &self.tarray) {
             (SolverChoice::ClosedForm, Some(t)) => t.solve([rts[0], rts[1], rts[2]]).ok(),
-            _ => solve_least_squares(&self.array, &rts, &self.gn)
+            _ => solve_least_squares(&self.array, rts, &self.gn)
                 .ok()
                 .map(|s| s.position),
         }
@@ -356,13 +375,15 @@ impl WiTrack {
         if self.recent_live.is_empty() {
             return None;
         }
-        let mut xs: Vec<f64> = self.recent_live.iter().map(|p| p.x).collect();
-        let mut ys: Vec<f64> = self.recent_live.iter().map(|p| p.y).collect();
-        let mut zs: Vec<f64> = self.recent_live.iter().map(|p| p.z).collect();
+        let n = self.recent_live.len();
+        let (mut xs, mut ys, mut zs) = ([0.0; RECENT_LIVE], [0.0; RECENT_LIVE], [0.0; RECENT_LIVE]);
+        for (i, p) in self.recent_live.iter().enumerate() {
+            (xs[i], ys[i], zs[i]) = (p.x, p.y, p.z);
+        }
         Some(Vec3::new(
-            witrack_dsp::stats::median_in_place(&mut xs),
-            witrack_dsp::stats::median_in_place(&mut ys),
-            witrack_dsp::stats::median_in_place(&mut zs),
+            witrack_dsp::stats::median_in_place(&mut xs[..n]),
+            witrack_dsp::stats::median_in_place(&mut ys[..n]),
+            witrack_dsp::stats::median_in_place(&mut zs[..n]),
         ))
     }
 
@@ -560,6 +581,20 @@ mod tests {
         assert_eq!(
             WiTrack::with_array(cfg, arr).err(),
             Some(BuildError::ClosedFormNeedsTArray)
+        );
+    }
+
+    #[test]
+    fn arrays_beyond_max_rx_are_rejected() {
+        let mut cfg = small_cfg();
+        cfg.solver = SolverChoice::LeastSquares;
+        let origin = Vec3::new(0.0, 0.0, 1.0);
+        let fits = AntennaArray::t_shape_extended(origin, 1.0, MAX_RX - 3);
+        assert!(WiTrack::with_array(cfg, fits).is_ok());
+        let too_many = AntennaArray::t_shape_extended(origin, 1.0, MAX_RX - 2);
+        assert_eq!(
+            WiTrack::with_array(cfg, too_many).err(),
+            Some(BuildError::TooManyReceivers(MAX_RX + 1))
         );
     }
 

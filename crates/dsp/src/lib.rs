@@ -5,14 +5,14 @@
 //! point of the reproduction is to own these code paths):
 //!
 //! * [`Complex`] — complex arithmetic for baseband signals.
-//! * [`fft`] — an iterative radix-2 FFT plus a Bluestein chirp-Z fallback so
-//!   *exact* non-power-of-two lengths work. WiTrack's sweep is 2500 samples
-//!   (2.5 ms at 1 MS/s); transforming at the exact length keeps the paper's
-//!   400 Hz bins = 8.87 cm one-way range resolution (Eq. 3).
-//! * [`czt`] — the zoomed chirp-Z transform: exactly the `keep_bins` range
-//!   bins an indoor scene occupies, computed from the real sweep via
-//!   two-for-one packing and a pruned convolution (the per-frame hot path;
-//!   see the module docs for the cost accounting).
+//! * [`fft`] — FFT plans at any length: radix-2 for powers of two, a
+//!   mixed-radix (2/3/4/5) Stockham transform for 5-smooth lengths, and a
+//!   Bluestein fallback for the rest, so *exact* sweep lengths work.
+//!   WiTrack's sweep is 2500 = 2²·5⁴ samples (2.5 ms at 1 MS/s);
+//!   transforming at the exact length keeps the paper's 400 Hz bins =
+//!   8.87 cm one-way range resolution (Eq. 3). [`RealBand`] computes just
+//!   the kept range bins of a real sweep from one half-length transform
+//!   (the per-frame hot path).
 //! * [`window`] — tapers for spectral analysis.
 //! * [`kalman`] — the 1-D constant-velocity Kalman filter used to smooth
 //!   per-antenna distance estimates (paper §4.4 "Filtering").
@@ -32,7 +32,6 @@
 #![deny(unsafe_code)]
 
 pub mod complex;
-pub mod czt;
 pub mod fft;
 pub mod filters;
 pub mod kalman;
@@ -44,6 +43,5 @@ pub mod stats;
 pub mod window;
 
 pub use complex::Complex;
-pub use czt::{Czt, CztScratch};
-pub use fft::Fft;
+pub use fft::{BandScratch, Fft, RealBand};
 pub use kalman::Kalman1D;

@@ -1,14 +1,14 @@
 //! Process-wide weak caches for immutable transform plans.
 //!
-//! Every plan in this crate (CZT chirps/kernels, FFT twiddles, window
+//! Every plan in this crate (FFT twiddles, Bluestein chirps, window
 //! tables) is immutable after construction and depends only on its shape
 //! parameters, so two users with the same configuration can share one
 //! instance behind an `Arc`. A serving host runs dozens of identical
 //! pipelines per shard — three antennas × N sensors, all at one sweep
-//! config — and per-instance tables are the dominant per-sensor memory
-//! (a paper-config CZT plan alone is ~85 KiB of twiddles). These caches
-//! deduplicate them: `Czt::shared`, `WindowKind::shared`, and the
-//! Bluestein core behind `Fft` all key a [`PlanCache`] by their shape.
+//! config — and per-instance tables would be the dominant per-sensor
+//! memory. These caches deduplicate them: `RealBand::shared`,
+//! `WindowKind::shared`, and the transform cores behind `Fft` all key a
+//! [`PlanCache`] by their shape.
 //!
 //! Entries are **weak**: the cache never keeps a plan alive on its own,
 //! so a reconfigured process frees the old tables once the last pipeline

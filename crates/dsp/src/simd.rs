@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot path.
 //!
 //! Every per-frame inner loop of the range-profile stage funnels through
-//! this module: the complex pointwise multiplies of the pruned-CZT
-//! convolution, the radix-2 butterfly passes, the window/pack multiplies
-//! that feed the transform, and the fixed-point (i16/i32) front half that
-//! keeps wire-quantized sweeps in integer form until the last possible
-//! dequantization. Each kernel exists twice:
+//! this module: the mixed-radix Stockham passes of the band transform, the
+//! window multiply and dequantizing pack that feed it, and the fixed-point
+//! (i16/i32) front half that keeps wire-quantized sweeps in integer form
+//! until the last possible dequantization. The radix-2 butterfly ranks and
+//! complex pointwise multiplies serve power-of-two transforms and the
+//! Bluestein fallback. Each kernel exists twice:
 //!
 //! * a **scalar** reference implementation (in [`scalar`]), always
 //!   compiled, used directly on non-x86 hosts and kept exercised in CI by
@@ -107,7 +108,7 @@ pub fn force_scalar() -> bool {
 }
 
 /// `buf[i] *= k[i]` (conjugating `k` when `conj` — the inverse-direction
-/// CZT kernel multiply).
+/// Bluestein kernel multiply).
 pub fn pointwise_mul(buf: &mut [Complex], k: &[Complex], conj: bool) {
     debug_assert_eq!(buf.len(), k.len());
     match active() {
@@ -117,8 +118,8 @@ pub fn pointwise_mul(buf: &mut [Complex], k: &[Complex], conj: bool) {
     }
 }
 
-/// `out[i] = a[i] * b[i]` (conjugating `b` when `conj`) — the post-chirp
-/// multiply writing the convolution output.
+/// `out[i] = a[i] * b[i]` (conjugating `b` when `conj`) — the Bluestein
+/// chirp multiplies.
 pub fn pointwise_mul_into(out: &mut [Complex], a: &[Complex], b: &[Complex], conj: bool) {
     debug_assert_eq!(out.len(), a.len());
     debug_assert_eq!(out.len(), b.len());
@@ -126,35 +127,6 @@ pub fn pointwise_mul_into(out: &mut [Complex], a: &[Complex], b: &[Complex], con
         #[cfg(target_arch = "x86_64")]
         KernelPath::Avx2Fma => unsafe { avx2::pointwise_mul_into(out, a, b, conj) },
         _ => scalar::pointwise_mul_into(out, a, b, conj),
-    }
-}
-
-/// Two-for-one real-input packing fused with the pre-chirp multiply:
-/// `buf[t] = (signal[2t] + i·signal[2t+1]) * pre[t]`. Adjacent real
-/// samples already sit in complex (re, im) layout, so the AVX2 path is a
-/// straight vector load plus complex multiply.
-///
-/// # Panics
-/// Panics if `signal.len() < 2 * buf.len()` or `pre.len() < buf.len()`.
-pub fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-    assert!(signal.len() >= 2 * buf.len());
-    assert!(pre.len() >= buf.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::pack_premul(buf, signal, pre) },
-        _ => scalar::pack_premul(buf, signal, pre),
-    }
-}
-
-/// Real-scalar pre-chirp multiply (the unpacked CZT input path):
-/// `buf[j] = pre[j].scale(signal[j])`.
-pub fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-    debug_assert_eq!(buf.len(), signal.len());
-    debug_assert_eq!(buf.len(), pre.len());
-    match active() {
-        #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::scale_premul(buf, signal, pre) },
-        _ => scalar::scale_premul(buf, signal, pre),
     }
 }
 
@@ -185,51 +157,92 @@ pub fn window_accum_q(accum: &mut [i32], samples: &[i16], win_q15: &[i16]) {
     }
 }
 
-/// Late-dequantizing two-for-one packing: `buf[t] = (q[2t] + i·q[2t+1])
-/// · scale · pre[t]`. This is where the quantized front half re-enters
-/// the float domain — fused into the pre-chirp multiply so the
-/// dequantized frame is never materialized.
+/// Late-dequantizing two-for-one packing, where the quantized front half
+/// re-enters the float domain: `buf[t] = (q[2t] + i·q[2t+1]) · scale`.
+/// Four consecutive `i32` lanes convert to exactly two packed complex
+/// values, so the AVX2 path is one convert and one multiply per pair.
 ///
 /// # Panics
-/// Panics if `q.len() < 2 * buf.len()` or `pre.len() < buf.len()`.
-pub fn pack_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
+/// Panics if `q.len() < 2 * buf.len()`.
+pub fn pack_dequant(buf: &mut [Complex], q: &[i32], scale: f64) {
     assert!(q.len() >= 2 * buf.len());
-    assert!(pre.len() >= buf.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::pack_premul_q(buf, q, scale, pre) },
-        _ => scalar::pack_premul_q(buf, q, scale, pre),
+        // SAFETY: `active()` picks Avx2Fma only on a host with AVX2 and FMA;
+        // the assert above bounds every `q` read.
+        KernelPath::Avx2Fma => unsafe { avx2::pack_dequant(buf, q, scale) },
+        _ => scalar::pack_dequant(buf, q, scale),
     }
 }
 
-/// Late-dequantizing real pre-chirp multiply (unpacked CZT input path):
-/// `buf[j] = pre[j].scale(q[j] · scale)`.
-pub fn scale_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-    debug_assert_eq!(buf.len(), q.len());
-    debug_assert_eq!(buf.len(), pre.len());
+/// `cos(2π/5)`, `cos(4π/5)`, `sin(2π/5)`, `sin(4π/5)`, `sin(2π/3)`: the
+/// radix-5 and radix-3 butterfly constants.
+const C1: f64 = 0.309_016_994_374_947_45;
+const C2: f64 = -0.809_016_994_374_947_5;
+const S1: f64 = 0.951_056_516_295_153_5;
+const S2: f64 = 0.587_785_252_292_473_1;
+const S3: f64 = 0.866_025_403_784_438_6;
+
+/// One decimation-in-frequency Stockham pass of radix `p ∈ {2, 3, 4, 5}`
+/// at stride `s`; the mixed-radix plan in [`crate::fft`] chains them. With
+/// `m = src.len() / (p·s)` it writes, for `j < m`, `q < s`, `k < p`:
+///
+/// `dst[q + s·(p·j + k)] = tw_k(j) · Σ_r src[q + s·(j + r·m)]·e^{-2πirk/p}`
+///
+/// where `tw_k(j) = tw[(k−1)·m + j]`, `tw_0 = 1`, and an empty `tw` means
+/// every twiddle is 1. The AVX2 path runs two columns `q, q+1` per
+/// butterfly when `s ≥ 2` (each row's twiddles broadcast), and two rows
+/// `j, j+1` when `s == 1` (twiddles loaded in pairs, each result stored
+/// as two halves).
+///
+/// # Panics
+/// Panics if `p` is not 2–5, the buffer lengths differ or are not a
+/// multiple of `p·s`, or `tw` is neither empty nor `(p−1)·m` long.
+pub fn stockham_pass(src: &[Complex], dst: &mut [Complex], p: usize, s: usize, tw: &[Complex]) {
+    assert!((2..=5).contains(&p), "radix must be 2, 3, 4 or 5");
+    assert_eq!(src.len(), dst.len(), "ping-pong buffers must match");
+    assert!(s >= 1 && src.len().is_multiple_of(p * s), "pass shape");
+    let m = src.len() / (p * s);
+    assert!(
+        tw.is_empty() || tw.len() == (p - 1) * m,
+        "twiddle table shape"
+    );
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::scale_premul_q(buf, q, scale, pre) },
-        _ => scalar::scale_premul_q(buf, q, scale, pre),
+        // SAFETY: `active()` picks Avx2Fma only on a host with AVX2 and FMA;
+        // the asserts above are the shape the kernel's pointer arithmetic
+        // relies on.
+        KernelPath::Avx2Fma => unsafe { avx2::stockham_pass(src, dst, p, s, tw) },
+        _ => scalar::stockham_pass(src, dst, p, s, tw),
     }
 }
 
-/// One radix-2 butterfly pass over a block: `a` and `b` are the lower and
-/// upper halves, `tw` the stage's contiguous twiddles (`e^{-2πik/len}`,
-/// conjugated on the fly when `conj` for the inverse direction):
-/// `(a[k], b[k]) ← (a[k] + tw[k]·b[k], a[k] − tw[k]·b[k])`.
-pub fn butterflies(a: &mut [Complex], b: &mut [Complex], tw: &[Complex], conj: bool) {
-    debug_assert_eq!(a.len(), b.len());
-    debug_assert_eq!(a.len(), tw.len());
+/// Even/odd recombination of a packed half-length spectrum: the last step
+/// of the real-input band transform. `z` is the `h`-point DFT of
+/// `x[2t] + i·x[2t+1]`; bin `k` of the `2h`-point real DFT is
+/// `X[k] = E[k] + W^k·O[k]` with `E[k] = (Z[k] + conj(Z[−k]))/2`,
+/// `2·O[k] = −i(Z[k] − conj(Z[−k]))` (indices mod `h`), and
+/// `unpack[k] = W_{2h}^k/2`. Writes bins `0..out.len()`.
+///
+/// # Panics
+/// Panics if `unpack` is shorter than `out`, `out` is longer than `2h`, or
+/// `z` is empty.
+pub fn unpack_band(out: &mut [Complex], z: &[Complex], unpack: &[Complex]) {
+    assert!(!z.is_empty() && out.len() <= 2 * z.len() && unpack.len() >= out.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelPath::Avx2Fma => unsafe { avx2::butterflies(a, b, tw, conj) },
-        _ => scalar::butterflies(a, b, tw, conj),
+        // SAFETY: `active()` picks Avx2Fma only on a host with AVX2 and FMA;
+        // the assert above bounds every vector read of `z` and `unpack`.
+        KernelPath::Avx2Fma if !out.is_empty() => unsafe { avx2::unpack_band(out, z, unpack) },
+        _ => scalar::unpack_band(out, z, unpack, 0),
     }
 }
 
-/// One whole radix-2 stage: the [`butterflies`] pass applied to every
-/// `2·half` block of `data`, with the block loop *inside* the selected
+/// One whole radix-2 stage: the butterfly pass
+/// `(a[k], b[k]) ← (a[k] + tw[k]·b[k], a[k] − tw[k]·b[k])` over the lower
+/// and upper halves of every `2·half` block of `data` (`tw` holds the
+/// stage's twiddles `e^{-2πik/2·half}`, conjugated on the fly when `conj`
+/// for the inverse direction), with the block loop *inside* the selected
 /// kernel. Dispatching per stage instead of per block matters enormously
 /// at the narrow early stages — a 2048-point transform has 1024
 /// one-butterfly blocks at `half == 1`, and a per-block dispatch (path
@@ -323,7 +336,8 @@ pub fn fft_two_stages_dif(
 /// the forced-fallback CI test) can pin SIMD results against them
 /// regardless of which path the process selected.
 pub mod scalar {
-    use super::Complex;
+    use super::{Complex, C1, C2, S1, S2, S3};
+    use std::ops::Range;
 
     /// Exact Q15 rounding multiply — the semantics of
     /// `_mm256_mulhrs_epi16` on lanes that cannot overflow (window
@@ -360,20 +374,6 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::pack_premul`].
-    pub fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        for (t, (b, p)) in buf.iter_mut().zip(pre).enumerate() {
-            *b = Complex::new(signal[2 * t], signal[2 * t + 1]) * *p;
-        }
-    }
-
-    /// See [`super::scale_premul`].
-    pub fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        for (b, (&s, p)) in buf.iter_mut().zip(signal.iter().zip(pre)) {
-            *b = p.scale(s);
-        }
-    }
-
     /// See [`super::window_scale`].
     pub fn window_scale(dst: &mut [f64], src: &[f64], win: &[f64], scale: f64) {
         for (d, (&s, &w)) in dst.iter_mut().zip(src.iter().zip(win)) {
@@ -388,21 +388,116 @@ pub mod scalar {
         }
     }
 
-    /// See [`super::pack_premul_q`].
-    pub fn pack_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-        for (t, (b, p)) in buf.iter_mut().zip(pre).enumerate() {
-            *b = Complex::new(q[2 * t] as f64 * scale, q[2 * t + 1] as f64 * scale) * *p;
+    /// See [`super::pack_dequant`].
+    pub fn pack_dequant(buf: &mut [Complex], q: &[i32], scale: f64) {
+        for (b, pair) in buf.iter_mut().zip(q.chunks_exact(2)) {
+            *b = Complex::new(pair[0] as f64 * scale, pair[1] as f64 * scale);
         }
     }
 
-    /// See [`super::scale_premul_q`].
-    pub fn scale_premul_q(buf: &mut [Complex], q: &[i32], scale: f64, pre: &[Complex]) {
-        for (b, (&v, p)) in buf.iter_mut().zip(q.iter().zip(pre)) {
-            *b = p.scale(v as f64 * scale);
+    /// See [`super::stockham_pass`].
+    pub fn stockham_pass(src: &[Complex], dst: &mut [Complex], p: usize, s: usize, tw: &[Complex]) {
+        for j in 0..src.len() / (p * s) {
+            columns(src, dst, p, s, tw, j, 0..s);
         }
     }
 
-    /// See [`super::butterflies`].
+    /// The butterflies of row `j`, columns `qs`, of one Stockham pass (the
+    /// vector kernel's tails run through here too).
+    pub(super) fn columns(
+        src: &[Complex],
+        dst: &mut [Complex],
+        p: usize,
+        s: usize,
+        tw: &[Complex],
+        j: usize,
+        qs: Range<usize>,
+    ) {
+        match p {
+            2 => columns_p(src, dst, s, tw, j, qs, bfly2),
+            3 => columns_p(src, dst, s, tw, j, qs, bfly3),
+            4 => columns_p(src, dst, s, tw, j, qs, bfly4),
+            _ => columns_p(src, dst, s, tw, j, qs, bfly5),
+        }
+    }
+
+    #[inline(always)]
+    fn columns_p<const P: usize>(
+        src: &[Complex],
+        dst: &mut [Complex],
+        s: usize,
+        tw: &[Complex],
+        j: usize,
+        qs: Range<usize>,
+        bfly: fn([Complex; P]) -> [Complex; P],
+    ) {
+        let m = src.len() / (P * s);
+        let mut w = [Complex::ONE; P];
+        if !tw.is_empty() {
+            for (k, w) in w.iter_mut().enumerate().skip(1) {
+                *w = tw[(k - 1) * m + j];
+            }
+        }
+        for q in qs {
+            let y = bfly(std::array::from_fn(|r| src[q + s * (j + r * m)]));
+            for (k, (y, w)) in y.iter().zip(&w).enumerate() {
+                dst[q + s * (P * j + k)] = if k == 0 { *y } else { *y * *w };
+            }
+        }
+    }
+
+    /// See [`super::unpack_band`]; `out[i]` and `unpack[i]` are bin
+    /// `first + i`.
+    pub fn unpack_band(out: &mut [Complex], z: &[Complex], unpack: &[Complex], first: usize) {
+        let h = z.len();
+        for (k, (o, w)) in (first..).zip(out.iter_mut().zip(unpack)) {
+            let k = if k >= h { k - h } else { k };
+            let zk = z[k];
+            let zr = z[if k == 0 { 0 } else { h - k }].conj();
+            let e = (zk + zr).scale(0.5);
+            let od = Complex::new(0.0, -1.0) * (zk - zr); // 2·O[k]
+            *o = e + *w * od;
+        }
+    }
+
+    /// `i·z`.
+    #[inline(always)]
+    fn mul_i(z: Complex) -> Complex {
+        Complex::new(-z.im, z.re)
+    }
+
+    #[inline(always)]
+    fn bfly2([a0, a1]: [Complex; 2]) -> [Complex; 2] {
+        [a0 + a1, a0 - a1]
+    }
+
+    #[inline(always)]
+    fn bfly3([a0, a1, a2]: [Complex; 3]) -> [Complex; 3] {
+        let t1 = a1 + a2;
+        let v = mul_i((a1 - a2).scale(S3));
+        let b = a0 - t1.scale(0.5);
+        [a0 + t1, b - v, b + v]
+    }
+
+    #[inline(always)]
+    fn bfly4([a0, a1, a2, a3]: [Complex; 4]) -> [Complex; 4] {
+        let (t0, t1) = (a0 + a2, a0 - a2);
+        let (t2, t3) = (a1 + a3, mul_i(a1 - a3));
+        [t0 + t2, t1 - t3, t0 - t2, t1 + t3]
+    }
+
+    #[inline(always)]
+    fn bfly5([a0, a1, a2, a3, a4]: [Complex; 5]) -> [Complex; 5] {
+        let (t1, t2) = (a1 + a4, a2 + a3);
+        let (t3, t4) = (a1 - a4, a2 - a3);
+        let b1 = a0 + t1.scale(C1) + t2.scale(C2);
+        let b2 = a0 + t1.scale(C2) + t2.scale(C1);
+        let v1 = mul_i(t3.scale(S1) + t4.scale(S2));
+        let v2 = mul_i(t3.scale(S2) - t4.scale(S1));
+        [a0 + t1 + t2, b1 - v1, b2 - v2, b2 + v2, b1 + v1]
+    }
+
+    /// One radix-2 butterfly pass over a block (see [`super::fft_stage`]).
     pub fn butterflies(a: &mut [Complex], b: &mut [Complex], tw: &[Complex], conj: bool) {
         for k in 0..a.len() {
             let t = if conj { tw[k].conj() } else { tw[k] };
@@ -506,7 +601,7 @@ pub mod scalar {
 /// two complex values.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::Complex;
+    use super::{Complex, C1, C2, S1, S2, S3};
     use core::arch::x86_64::*;
 
     /// Complex multiply of register pairs `a·b`, both `[re0, im0, re1,
@@ -595,45 +690,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let sp = signal.as_ptr();
-        let pp = pre.as_ptr();
-        for i in 0..pairs {
-            // Four consecutive real samples ARE two packed complex values.
-            let s = _mm256_loadu_pd(sp.add(4 * i));
-            store(bp.add(2 * i), cmul::<false>(s, load(pp.add(2 * i))));
-        }
-        super::scalar::pack_premul(
-            &mut buf[2 * pairs..],
-            &signal[4 * pairs..],
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_premul(buf: &mut [Complex], signal: &[f64], pre: &[Complex]) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let sp = signal.as_ptr();
-        let pp = pre.as_ptr();
-        for i in 0..pairs {
-            let s = _mm_loadu_pd(sp.add(2 * i)); // [s0, s1]
-                                                 // [s0, s0, s1, s1]: each real scalar duplicated over its pair.
-            let dup = _mm256_permute4x64_pd(_mm256_castpd128_pd256(s), 0x50);
-            store(bp.add(2 * i), _mm256_mul_pd(load(pp.add(2 * i)), dup));
-        }
-        super::scalar::scale_premul(
-            &mut buf[2 * pairs..],
-            &signal[2 * pairs..n],
-            &pre[2 * pairs..n],
-        );
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn window_scale(dst: &mut [f64], src: &[f64], win: &[f64], scale: f64) {
         let n = dst.len();
         let quads = n / 4;
@@ -684,58 +740,255 @@ mod avx2 {
         );
     }
 
+    /// # Safety
+    /// The host must support AVX2 and FMA, and `q.len() ≥ 2·buf.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn pack_premul_q(
-        buf: &mut [Complex],
-        q: &[i32],
-        scale: f64,
-        pre: &[Complex],
-    ) {
+    pub(super) unsafe fn pack_dequant(buf: &mut [Complex], q: &[i32], scale: f64) {
         let n = buf.len();
         let pairs = n / 2;
         let bp = buf.as_mut_ptr();
         let qp = q.as_ptr();
-        let pp = pre.as_ptr();
         let sc = _mm256_set1_pd(scale);
         for i in 0..pairs {
             // Four i32 → four f64 lanes = two packed complex values.
             let qi = _mm_loadu_si128(qp.add(4 * i) as *const __m128i);
-            let s = _mm256_mul_pd(_mm256_cvtepi32_pd(qi), sc);
-            store(bp.add(2 * i), cmul::<false>(s, load(pp.add(2 * i))));
+            store(bp.add(2 * i), _mm256_mul_pd(_mm256_cvtepi32_pd(qi), sc));
         }
-        super::scalar::pack_premul_q(
-            &mut buf[2 * pairs..],
-            &q[4 * pairs..],
-            scale,
-            &pre[2 * pairs..n],
-        );
+        super::scalar::pack_dequant(&mut buf[2 * pairs..], &q[4 * pairs..], scale);
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn scale_premul_q(
-        buf: &mut [Complex],
-        q: &[i32],
-        scale: f64,
-        pre: &[Complex],
-    ) {
-        let n = buf.len();
-        let pairs = n / 2;
-        let bp = buf.as_mut_ptr();
-        let qp = q.as_ptr();
-        let pp = pre.as_ptr();
-        let sc = _mm_set1_pd(scale);
-        for i in 0..pairs {
-            let qi = _mm_loadl_epi64(qp.add(2 * i) as *const __m128i); // [q0, q1, _, _]
-            let s = _mm_mul_pd(_mm_cvtepi32_pd(qi), sc); // [q0·sc, q1·sc]
-            let dup = _mm256_permute4x64_pd(_mm256_castpd128_pd256(s), 0x50);
-            store(bp.add(2 * i), _mm256_mul_pd(load(pp.add(2 * i)), dup));
+    /// `a · w` for a twiddle splatted as `wr = [re; 4]`, `wi = [im; 4]`.
+    ///
+    /// # Safety
+    /// Only for inlining into an AVX2+FMA function.
+    #[inline(always)]
+    unsafe fn cmul_splat(a: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
+        _mm256_fmaddsub_pd(a, wr, _mm256_mul_pd(_mm256_permute_pd(a, 0x5), wi))
+    }
+
+    /// A radix-`P` DFT butterfly on two complex values per register.
+    trait Radix<const P: usize> {
+        /// # Safety
+        /// Only for inlining into an AVX2+FMA function.
+        unsafe fn bfly(a: [__m256d; P]) -> [__m256d; P];
+    }
+
+    struct R2;
+    struct R3;
+    struct R4;
+    struct R5;
+
+    impl Radix<2> for R2 {
+        #[inline(always)]
+        unsafe fn bfly([a0, a1]: [__m256d; 2]) -> [__m256d; 2] {
+            [_mm256_add_pd(a0, a1), _mm256_sub_pd(a0, a1)]
         }
-        super::scalar::scale_premul_q(
-            &mut buf[2 * pairs..],
-            &q[2 * pairs..n],
-            scale,
-            &pre[2 * pairs..n],
-        );
+    }
+
+    impl Radix<3> for R3 {
+        #[inline(always)]
+        unsafe fn bfly([a0, a1, a2]: [__m256d; 3]) -> [__m256d; 3] {
+            let t1 = _mm256_add_pd(a1, a2);
+            // i·S3·(a1 − a2): swap re/im, with the signs of `i·` folded
+            // into the constant.
+            let s3 = _mm256_setr_pd(-S3, S3, -S3, S3);
+            let v = _mm256_mul_pd(s3, _mm256_permute_pd(_mm256_sub_pd(a1, a2), 0x5));
+            let b = _mm256_fnmadd_pd(_mm256_set1_pd(0.5), t1, a0);
+            [
+                _mm256_add_pd(a0, t1),
+                _mm256_sub_pd(b, v),
+                _mm256_add_pd(b, v),
+            ]
+        }
+    }
+
+    impl Radix<4> for R4 {
+        #[inline(always)]
+        unsafe fn bfly([a0, a1, a2, a3]: [__m256d; 4]) -> [__m256d; 4] {
+            let t0 = _mm256_add_pd(a0, a2);
+            let t1 = _mm256_sub_pd(a0, a2);
+            let t2 = _mm256_add_pd(a1, a3);
+            // i·(a1 − a3) = (−im, re).
+            let sign = _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0);
+            let t3 = _mm256_xor_pd(_mm256_permute_pd(_mm256_sub_pd(a1, a3), 0x5), sign);
+            [
+                _mm256_add_pd(t0, t2),
+                _mm256_sub_pd(t1, t3),
+                _mm256_sub_pd(t0, t2),
+                _mm256_add_pd(t1, t3),
+            ]
+        }
+    }
+
+    impl Radix<5> for R5 {
+        #[inline(always)]
+        unsafe fn bfly([a0, a1, a2, a3, a4]: [__m256d; 5]) -> [__m256d; 5] {
+            let t1 = _mm256_add_pd(a1, a4);
+            let t2 = _mm256_add_pd(a2, a3);
+            // The differences enter only through `i·(…)`: swap re/im once
+            // here and fold the signs into the sine constants.
+            let t3 = _mm256_permute_pd(_mm256_sub_pd(a1, a4), 0x5);
+            let t4 = _mm256_permute_pd(_mm256_sub_pd(a2, a3), 0x5);
+            let (c1, c2) = (_mm256_set1_pd(C1), _mm256_set1_pd(C2));
+            let s1 = _mm256_setr_pd(-S1, S1, -S1, S1);
+            let s2 = _mm256_setr_pd(-S2, S2, -S2, S2);
+            let b1 = _mm256_fmadd_pd(c1, t1, _mm256_fmadd_pd(c2, t2, a0));
+            let b2 = _mm256_fmadd_pd(c2, t1, _mm256_fmadd_pd(c1, t2, a0));
+            // v1 = i·(S1·(a1−a4) + S2·(a2−a3)), v2 = i·(S2·(a1−a4) − S1·(a2−a3)).
+            let v1 = _mm256_fmadd_pd(s1, t3, _mm256_mul_pd(s2, t4));
+            let v2 = _mm256_fmsub_pd(s2, t3, _mm256_mul_pd(s1, t4));
+            [
+                _mm256_add_pd(a0, _mm256_add_pd(t1, t2)),
+                _mm256_sub_pd(b1, v1),
+                _mm256_sub_pd(b2, v2),
+                _mm256_add_pd(b2, v2),
+                _mm256_add_pd(b1, v1),
+            ]
+        }
+    }
+
+    /// # Safety
+    /// The host must support AVX2 and FMA, and the shapes must satisfy the
+    /// asserts of [`super::stockham_pass`].
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn stockham_pass(
+        src: &[Complex],
+        dst: &mut [Complex],
+        p: usize,
+        s: usize,
+        tw: &[Complex],
+    ) {
+        match p {
+            2 => pass::<2, R2>(src, dst, s, tw),
+            3 => pass::<3, R3>(src, dst, s, tw),
+            4 => pass::<4, R4>(src, dst, s, tw),
+            _ => pass::<5, R5>(src, dst, s, tw),
+        }
+    }
+
+    /// See [`super::stockham_pass`].
+    ///
+    /// # Safety
+    /// Only for inlining into an AVX2+FMA function, with the shapes the
+    /// dispatcher asserts: `src.len() == dst.len() == P·s·m` and `tw`
+    /// empty or `(P−1)·m` long. Every index below stays under those
+    /// lengths: a vector touches elements `i, i+1` only when `i+1` is
+    /// still inside its row (`j+1 < m` on the first pass, `q+1 < s` after).
+    #[inline(always)]
+    unsafe fn pass<const P: usize, B: Radix<P>>(
+        src: &[Complex],
+        dst: &mut [Complex],
+        s: usize,
+        tw: &[Complex],
+    ) {
+        let m = src.len() / (P * s);
+        let sp = src.as_ptr();
+        let tp = tw.as_ptr();
+        let twiddled = !tw.is_empty();
+        let mut a = [_mm256_setzero_pd(); P];
+        if s == 1 {
+            // First pass: rows `j, j+1` share a register. Inputs and
+            // twiddles are contiguous pairs. Row `j`'s outputs are
+            // contiguous, so adjacent output indices `k, k+1` are
+            // regrouped by 128-bit lane into one full store per row.
+            let dp = dst.as_mut_ptr();
+            let mut j = 0;
+            while j + 1 < m {
+                for (r, v) in a.iter_mut().enumerate() {
+                    *v = load(sp.add(j + r * m));
+                }
+                let mut y = B::bfly(a);
+                if twiddled {
+                    for (k, v) in y.iter_mut().enumerate().skip(1) {
+                        *v = cmul::<false>(*v, load(tp.add((k - 1) * m + j)));
+                    }
+                }
+                let (row0, row1) = (dp.add(P * j), dp.add(P * (j + 1)));
+                for k in (0..P - 1).step_by(2) {
+                    store(row0.add(k), _mm256_permute2f128_pd(y[k], y[k + 1], 0x20));
+                    store(row1.add(k), _mm256_permute2f128_pd(y[k], y[k + 1], 0x31));
+                }
+                if P % 2 == 1 {
+                    let v = y[P - 1];
+                    _mm_storeu_pd(row0.add(P - 1) as *mut f64, _mm256_castpd256_pd128(v));
+                    _mm_storeu_pd(row1.add(P - 1) as *mut f64, _mm256_extractf128_pd::<1>(v));
+                }
+                j += 2;
+            }
+            if j < m {
+                super::scalar::columns(src, dst, P, s, tw, j, 0..1);
+            }
+            return;
+        }
+        // Later passes: columns `q, q+1` share a register and each row's
+        // twiddles are broadcast once.
+        let even = s - s % 2;
+        let rows = s * m;
+        let mut wr = [_mm256_set1_pd(1.0); P];
+        let mut wi = [_mm256_setzero_pd(); P];
+        for j in 0..m {
+            if twiddled {
+                for k in 1..P {
+                    let t = *tp.add((k - 1) * m + j);
+                    wr[k] = _mm256_set1_pd(t.re);
+                    wi[k] = _mm256_set1_pd(t.im);
+                }
+            }
+            let src_j = sp.add(s * j);
+            let dst_j = dst.as_mut_ptr().add(s * P * j);
+            let mut q = 0;
+            while q < even {
+                for (r, v) in a.iter_mut().enumerate() {
+                    *v = load(src_j.add(q + r * rows));
+                }
+                let mut y = B::bfly(a);
+                if twiddled {
+                    for k in 1..P {
+                        y[k] = cmul_splat(y[k], wr[k], wi[k]);
+                    }
+                }
+                for (k, &v) in y.iter().enumerate() {
+                    store(dst_j.add(q + k * s), v);
+                }
+                q += 2;
+            }
+            if even < s {
+                super::scalar::columns(src, dst, P, s, tw, j, even..s);
+            }
+        }
+    }
+
+    /// # Safety
+    /// The host must support AVX2 and FMA; `out` must be non-empty, no
+    /// longer than `2·z.len()`, and no longer than `unpack`.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn unpack_band(out: &mut [Complex], z: &[Complex], unpack: &[Complex]) {
+        // Bin 0 (its mirror is itself) and bins past `h` take the scalar
+        // path; bins `k, k+1` in between read mirrors `h−k, h−k−1`, one
+        // reversed pair.
+        let h = z.len();
+        let end = out.len().min(h);
+        super::scalar::unpack_band(&mut out[..1], z, &unpack[..1], 0);
+        let (zp, wp, op) = (z.as_ptr(), unpack.as_ptr(), out.as_mut_ptr());
+        let conj = _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
+        let half = _mm256_set1_pd(0.5);
+        let mut k = 1;
+        while k + 1 < end {
+            let zk = load(zp.add(k));
+            let mirror = load(zp.add(h - k - 1));
+            let zr = _mm256_xor_pd(_mm256_permute2f128_pd(mirror, mirror, 0x01), conj);
+            let e = _mm256_mul_pd(_mm256_add_pd(zk, zr), half);
+            // −i·(zk − zr) = (im, −re).
+            let od = _mm256_xor_pd(_mm256_permute_pd(_mm256_sub_pd(zk, zr), 0x5), conj);
+            store(
+                op.add(k),
+                _mm256_add_pd(e, cmul::<false>(od, load(wp.add(k)))),
+            );
+            k += 2;
+        }
+        if k < out.len() {
+            super::scalar::unpack_band(&mut out[k..], z, &unpack[k..], k);
+        }
     }
 
     #[target_feature(enable = "avx2,fma")]
@@ -937,12 +1190,6 @@ mod avx2 {
 mod tests {
     use super::*;
 
-    fn signal(n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|i| (i as f64 * 0.61).sin() + 0.2 * (i as f64 * 1.7).cos())
-            .collect()
-    }
-
     fn complexes(n: usize, seed: f64) -> Vec<Complex> {
         (0..n)
             .map(|i| {
@@ -978,19 +1225,96 @@ mod tests {
             scalar::pointwise_mul(&mut r, &k, true);
             close(&a, &r, 1e-12 * (n + 1) as f64);
 
-            let s = signal(2 * n);
+            let q: Vec<i32> = (0..2 * n)
+                .map(|i| (i as i32 * 7919) % 65_537 - 32_768)
+                .collect();
             let mut a = vec![Complex::ZERO; n];
             let mut r = a.clone();
-            pack_premul(&mut a, &s, &k);
-            scalar::pack_premul(&mut r, &s, &k);
-            close(&a, &r, 1e-12 * (n + 1) as f64);
+            pack_dequant(&mut a, &q, 1.0 / 32_768.0);
+            scalar::pack_dequant(&mut r, &q, 1.0 / 32_768.0);
+            close(&a, &r, 0.0);
+        }
+    }
 
-            let s = signal(n);
-            let mut a = vec![Complex::ZERO; n];
-            let mut r = a.clone();
-            scale_premul(&mut a, &s, &k);
-            scalar::scale_premul(&mut r, &s, &k);
-            close(&a, &r, 1e-12 * (n + 1) as f64);
+    #[test]
+    fn unpack_band_matches_scalar_for_every_band_shape() {
+        // Bands shorter than, equal to and past `h`, odd and even, so the
+        // vector pairs, the bin-0 special case and both tails all run.
+        for h in [1usize, 2, 3, 8, 25, 125] {
+            let z = complexes(h, 0.8);
+            let w = complexes(2 * h, 2.1);
+            for keep in [1, 2, 3, h, h + 1, 2 * h - 1, 2 * h] {
+                if keep == 0 || keep > 2 * h {
+                    continue;
+                }
+                let mut a = vec![Complex::ZERO; keep];
+                let mut r = vec![Complex::ZERO; keep];
+                unpack_band(&mut a, &z, &w[..keep]);
+                scalar::unpack_band(&mut r, &z, &w[..keep], 0);
+                close(&a, &r, 1e-12);
+            }
+        }
+    }
+
+    /// The direct DFT of each radix-`p` column, for checking the
+    /// butterflies themselves.
+    fn dft_column(a: &[Complex]) -> Vec<Complex> {
+        let p = a.len();
+        (0..p)
+            .map(|k| {
+                a.iter()
+                    .enumerate()
+                    .map(|(r, &x)| {
+                        x * Complex::cis(-2.0 * std::f64::consts::PI * (r * k) as f64 / p as f64)
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stockham_passes_match_scalar_and_the_dft() {
+        // Even and odd strides and row counts exercise the vector body and
+        // both scalar tails; an empty table means unit twiddles.
+        for p in 2..=5usize {
+            for (s, m) in [
+                (1usize, 1usize),
+                (1, 6),
+                (1, 7),
+                (2, 3),
+                (3, 2),
+                (10, 5),
+                (5, 1),
+            ] {
+                let n = p * s * m;
+                let src = complexes(n, 0.2 * p as f64);
+                let tw = complexes((p - 1) * m, 1.3);
+                for table in [&tw[..], &[]] {
+                    let mut a = vec![Complex::ZERO; n];
+                    let mut r = vec![Complex::ZERO; n];
+                    stockham_pass(&src, &mut a, p, s, table);
+                    scalar::stockham_pass(&src, &mut r, p, s, table);
+                    close(&a, &r, 1e-12);
+                    for j in 0..m {
+                        for q in 0..s {
+                            let column: Vec<Complex> =
+                                (0..p).map(|k| src[q + s * (j + k * m)]).collect();
+                            for (k, y) in dft_column(&column).into_iter().enumerate() {
+                                let w = if k == 0 || table.is_empty() {
+                                    Complex::ONE
+                                } else {
+                                    table[(k - 1) * m + j]
+                                };
+                                let got = r[q + s * (p * j + k)];
+                                assert!(
+                                    (got - y * w).abs() < 1e-12,
+                                    "p={p} s={s} m={m} j={j} q={q} k={k}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -1004,24 +1328,6 @@ mod tests {
             window_accum_q(&mut a, &samples, &win);
             scalar::window_accum_q(&mut r, &samples, &win);
             assert_eq!(a, r, "n={n}");
-        }
-    }
-
-    #[test]
-    fn butterfly_pass_matches_scalar() {
-        for half in [1usize, 2, 3, 8, 33] {
-            let tw: Vec<Complex> = (0..half)
-                .map(|k| Complex::cis(-std::f64::consts::PI * k as f64 / half as f64))
-                .collect();
-            for conj in [false, true] {
-                let mut a = complexes(half, 0.1);
-                let mut b = complexes(half, 0.7);
-                let (mut ra, mut rb) = (a.clone(), b.clone());
-                butterflies(&mut a, &mut b, &tw, conj);
-                scalar::butterflies(&mut ra, &mut rb, &tw, conj);
-                close(&a, &ra, 1e-12 * (half + 1) as f64);
-                close(&b, &rb, 1e-12 * (half + 1) as f64);
-            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! every other suite on this path anyway; this test makes that coverage
 //! unconditional on vector-capable CI machines too.
 
-use witrack_dsp::{simd, Complex, Czt, Fft};
+use witrack_dsp::{simd, Complex, Fft, RealBand};
 
 fn dft_naive(data: &[Complex]) -> Vec<Complex> {
     let n = data.len();
@@ -13,7 +13,7 @@ fn dft_naive(data: &[Complex]) -> Vec<Complex> {
         .map(|k| {
             let mut acc = Complex::ZERO;
             for (j, &x) in data.iter().enumerate() {
-                let ang = -2.0 * std::f64::consts::PI * (k * j) as f64 / n as f64;
+                let ang = -2.0 * std::f64::consts::PI * ((k * j) % n) as f64 / n as f64;
                 acc += x * Complex::cis(ang);
             }
             acc
@@ -30,14 +30,16 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
     assert_eq!(simd::active(), simd::KernelPath::Scalar);
     assert_eq!(simd::active().lanes(), 1);
 
-    // Radix-2 path (the noperm DIF/DIT convolution ladders included, via
-    // Bluestein's inner convolution at the non-power-of-two length).
-    for n in [16usize, 250] {
+    // Radix-2, mixed-radix (radix 2/3/4/5 Stockham passes, vector tails
+    // included) and Bluestein (the noperm DIF/DIT convolution ladders)
+    // plans, forward and inverse.
+    for n in [16usize, 250, 360, 1250, 98] {
         let data: Vec<Complex> = (0..n)
             .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
             .collect();
         let mut fast = data.clone();
-        Fft::new(n).forward(&mut fast);
+        let mut plan = Fft::new(n);
+        plan.forward(&mut fast);
         let naive = dft_naive(&data);
         for (i, (a, b)) in fast.iter().zip(&naive).enumerate() {
             assert!(
@@ -45,21 +47,29 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
                 "n={n} bin {i}: {a} vs {b}"
             );
         }
+        plan.inverse(&mut fast);
+        for (i, (a, b)) in fast.iter().zip(&data).enumerate() {
+            assert!(
+                (*a - *b).abs() <= 1e-12 * n as f64,
+                "n={n} sample {i}: {a} vs {b}"
+            );
+        }
     }
 
-    // Zoomed CZT band, float and quantized inputs, on the scalar path.
-    let n = 500;
-    let bins = 40;
-    let czt = Czt::new(n, bins);
-    let mut scratch = czt.make_scratch();
+    // The range profiler's band transform at the paper shape, float and
+    // quantized inputs, on the scalar path.
+    let n = 2500;
+    let bins = 171;
+    let band = RealBand::new(n, bins);
+    let mut scratch = band.make_scratch();
     let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
-    let mut band = vec![Complex::ZERO; bins];
-    czt.transform_into(&signal, &mut band, &mut scratch);
+    let mut out = vec![Complex::ZERO; bins];
+    band.forward_into(&signal, &mut out, &mut scratch);
 
     let scale = 1.0 / 4096.0;
     let q: Vec<i32> = signal.iter().map(|&s| (s / scale).round() as i32).collect();
-    let mut band_q = vec![Complex::ZERO; bins];
-    czt.transform_q_into(&q, scale, &mut band_q, &mut scratch);
+    let mut out_q = vec![Complex::ZERO; bins];
+    band.forward_q_into(&q, scale, &mut out_q, &mut scratch);
 
     let full: Vec<Complex> = dft_naive(
         &signal
@@ -67,7 +77,7 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
             .map(|&s| Complex::new(s, 0.0))
             .collect::<Vec<_>>(),
     );
-    for (k, b) in band.iter().enumerate() {
+    for (k, b) in out.iter().enumerate() {
         assert!(
             (*b - full[k]).abs() <= 1e-9 * n as f64,
             "float band bin {k}: {b} vs {}",
@@ -76,9 +86,9 @@ fn forced_scalar_path_runs_the_whole_transform_stack() {
         // The quantized path carries the input rounding error (≤ scale/2
         // per sample, n samples), not kernel error.
         assert!(
-            (band_q[k] - full[k]).abs() <= 0.5 * scale * n as f64,
+            (out_q[k] - full[k]).abs() <= 0.5 * scale * n as f64,
             "quantized band bin {k}: {} vs {}",
-            band_q[k],
+            out_q[k],
             full[k]
         );
     }

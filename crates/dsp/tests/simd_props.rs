@@ -60,20 +60,32 @@ proptest! {
     }
 
     #[test]
-    fn premul_kernels_match_scalar(
-        (extra, signal, pre) in (0usize..3, reals(194), complexes(97))
+    fn stockham_passes_match_scalar(
+        ((p, s, m), (data, tw, twiddled)) in (
+            (2usize..6, 1usize..12, 1usize..9),
+            (complexes(5 * 11 * 8), complexes(4 * 8), conj_flag()),
+        )
     ) {
-        let n = 97 - 4 * extra - 1;
+        // Random radix, stride and row count: odd strides and row counts
+        // run the scalar tails inside the vector kernel.
+        let n = p * s * m;
+        let table = if twiddled { &tw[..(p - 1) * m] } else { &[][..] };
         let mut a = vec![Complex::ZERO; n];
-        let mut r = a.clone();
-        simd::pack_premul(&mut a, &signal[..2 * n], &pre[..n]);
-        scalar::pack_premul(&mut r, &signal[..2 * n], &pre[..n]);
+        let mut r = vec![Complex::ZERO; n];
+        simd::stockham_pass(&data[..n], &mut a, p, s, table);
+        scalar::stockham_pass(&data[..n], &mut r, p, s, table);
         close(&a, &r);
+    }
 
-        let mut a = vec![Complex::ZERO; n];
-        let mut r = a.clone();
-        simd::scale_premul(&mut a, &signal[..n], &pre[..n]);
-        scalar::scale_premul(&mut r, &signal[..n], &pre[..n]);
+    #[test]
+    fn unpack_band_matches_scalar(
+        (h, keep_seed, z, w) in (1usize..40, 0usize..80, complexes(40), complexes(80))
+    ) {
+        let keep = 1 + keep_seed % (2 * h);
+        let mut a = vec![Complex::ZERO; keep];
+        let mut r = vec![Complex::ZERO; keep];
+        simd::unpack_band(&mut a, &z[..h], &w[..keep]);
+        scalar::unpack_band(&mut r, &z[..h], &w[..keep], 0);
         close(&a, &r);
     }
 
@@ -171,25 +183,16 @@ proptest! {
             );
         }
 
-        // Late dequantize: the fused q-input premuls must equal running
-        // the float premuls on the dequantized accumulator.
-        let pre: Vec<Complex> = (0..n)
-            .map(|k| Complex::cis(0.37 * k as f64) * 0.9)
-            .collect();
+        // Late dequantize: the packing pass must equal dequantizing the
+        // accumulator first and pairing adjacent samples.
         let scale = 1.0 / (32767.0 * sweeps as f64);
-        let deq: Vec<f64> = acc_a.iter().map(|&q| q as f64 * scale).collect();
-
         let m = n / 2;
         let mut a = vec![Complex::ZERO; m];
-        let mut r = vec![Complex::ZERO; m];
-        simd::pack_premul_q(&mut a, &acc_a, scale, &pre[..m]);
-        scalar::pack_premul(&mut r, &deq, &pre[..m]);
-        close(&a, &r);
-
-        let mut a = vec![Complex::ZERO; n];
-        let mut r = vec![Complex::ZERO; n];
-        simd::scale_premul_q(&mut a, &acc_a, scale, &pre);
-        scalar::scale_premul(&mut r, &deq, &pre);
-        close(&a, &r);
+        simd::pack_dequant(&mut a, &acc_a, scale);
+        let r: Vec<Complex> = acc_a
+            .chunks_exact(2)
+            .map(|p| Complex::new(p[0] as f64 * scale, p[1] as f64 * scale))
+            .collect();
+        prop_assert_eq!(&a, &r);
     }
 }

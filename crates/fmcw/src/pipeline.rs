@@ -39,7 +39,7 @@ impl TofFrame {
 /// sweep (see [`TofEstimator::push_sweep_timed`]). Nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Sweep accumulation + range profiling (the CZT work).
+    /// Sweep accumulation + range profiling (the band transform).
     pub profile_ns: u64,
     /// Background subtraction + contour detection + denoising.
     pub detect_ns: u64,
@@ -126,7 +126,7 @@ impl TofEstimator {
 
     /// [`Self::push_sweep`], additionally reporting how long the two
     /// heavy stages took on a frame-completing sweep: range profiling
-    /// (the CZT) in `times.profile_ns`, background subtraction +
+    /// (the band transform) in `times.profile_ns`, background subtraction +
     /// contour detection + denoising in `times.detect_ns`.
     /// Accumulate-only sweeps leave `times` untouched.
     ///

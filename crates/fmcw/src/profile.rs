@@ -13,23 +13,25 @@
 //! averaging.
 //!
 //! Only `keep_bins` of the sweep's beat-frequency bins can hold an indoor
-//! target, so the transform is a zoomed chirp-Z ([`witrack_dsp::Czt`]) that
-//! computes exactly those bins — never the full spectrum — and every buffer
-//! (accumulator, windowed frame, CZT scratch, output profile) is owned by
-//! the profiler and reused, so the steady-state per-frame path performs no
+//! target, so the transform is a real-input band transform
+//! ([`witrack_dsp::RealBand`]): the 2500 windowed reals are packed into
+//! 1250 complex points, run through one mixed-radix (2·5⁴) Stockham FFT,
+//! and only the kept bins are unpacked. Every buffer (accumulator,
+//! windowed frame, transform scratch, output profile) is owned by the
+//! profiler and reused, so the steady-state per-frame path performs no
 //! heap allocation.
 
 use crate::config::SweepConfig;
 use std::sync::Arc;
 use witrack_dsp::window::{WindowKind, Q15_GAIN};
-use witrack_dsp::{simd, Complex, Czt, CztScratch};
+use witrack_dsp::{simd, BandScratch, Complex, RealBand};
 
 /// One sweep of baseband samples, in either representation the wire
 /// delivers: dequantized `f64`, or the raw `i16` quantized form plus its
 /// dequantization scale (`sample = q · scale`). The quantized form feeds
 /// the fixed-point front half of the profiler — windowing and frame
 /// accumulation stay in `i16`/`i32` and the samples only become floats
-/// inside the zoom transform's pre-chirp multiply.
+/// inside the band transform's packing pass.
 #[derive(Debug, Clone, Copy)]
 pub enum Sweep<'a> {
     /// Float samples.
@@ -61,11 +63,12 @@ impl Sweep<'_> {
 
 /// Converts accumulated sweeps into complex range profiles.
 ///
-/// The window table and CZT plan are **process-shared** (via
-/// [`WindowKind::shared`] and [`Czt::shared`]): every profiler at the same
-/// sweep configuration — all antennas of all sensors on a serving host —
-/// reads one copy of each. Only the per-stream buffers (accumulator,
-/// windowed frame, CZT scratch, output profile) are owned per instance.
+/// The window table and band-transform plan are **process-shared** (via
+/// [`WindowKind::shared`] and [`RealBand::shared`]): every profiler at the
+/// same sweep configuration — all antennas of all sensors on a serving
+/// host — reads one copy of each. Only the per-stream buffers
+/// (accumulator, windowed frame, transform scratch, output profile) are
+/// owned per instance.
 #[derive(Debug, Clone)]
 pub struct RangeProfiler {
     samples_per_sweep: usize,
@@ -77,9 +80,9 @@ pub struct RangeProfiler {
     /// The frame average (1/sweeps_per_frame), folded into the windowing
     /// multiply so the shared table stays unscaled.
     frame_scale: f64,
-    /// Shared zoom transform producing exactly `keep_bins` bins.
-    czt: Arc<Czt>,
-    scratch: CztScratch,
+    /// Shared band transform producing exactly `keep_bins` bins.
+    band: Arc<RealBand>,
+    scratch: BandScratch,
     /// Time-domain accumulator for the current frame (float sweeps).
     accum: Vec<f64>,
     /// Fixed-point accumulator for quantized sweeps: windowed Q15
@@ -90,7 +93,7 @@ pub struct RangeProfiler {
     accum_q_scale: f64,
     /// Quantized sweeps folded into the current frame so far.
     q_sweeps: usize,
-    /// Windowed average of the accumulated sweeps (CZT input), reused.
+    /// Windowed average of the accumulated sweeps (transform input), reused.
     windowed: Vec<f64>,
     /// The emitted range profile, reused across frames.
     profile: Vec<Complex>,
@@ -109,15 +112,15 @@ impl RangeProfiler {
         let keep = keep.max(2).min(n);
         let window_q15 = window.shared_q15(n);
         let window = window.shared(n);
-        let czt = Czt::shared(n, keep);
-        let scratch = czt.make_scratch();
+        let band = RealBand::shared(n, keep);
+        let scratch = band.make_scratch();
         RangeProfiler {
             samples_per_sweep: n,
             sweeps_per_frame: cfg.sweeps_per_frame,
             window,
             window_q15,
             frame_scale: 1.0 / cfg.sweeps_per_frame as f64,
-            czt,
+            band,
             scratch,
             accum: vec![0.0; n],
             accum_q: vec![0; n],
@@ -135,10 +138,10 @@ impl RangeProfiler {
         self.keep_bins
     }
 
-    /// The shared zoom-transform plan this profiler runs (two profilers at
-    /// the same sweep configuration return the same `Arc`).
-    pub fn plan(&self) -> &Arc<Czt> {
-        &self.czt
+    /// The shared band-transform plan this profiler runs (two profilers
+    /// at the same sweep configuration return the same `Arc`).
+    pub fn plan(&self) -> &Arc<RealBand> {
+        &self.band
     }
 
     /// Sweeps accumulated toward the next frame.
@@ -168,8 +171,8 @@ impl RangeProfiler {
     /// fixed-point fast path: the sweep is windowed in `i16` (Q15
     /// rounding multiplies against the shared quantized window table) and
     /// accumulated exactly in `i32`; on frame completion the integer
-    /// accumulator feeds the zoom transform directly, dequantizing inside
-    /// the pre-chirp multiply. Per-frame the samples are touched once in
+    /// accumulator feeds the band transform directly, dequantizing inside
+    /// its packing pass. Per-frame the samples are touched once in
     /// integer form — 4× less accumulator memory traffic than the float
     /// path, and no dequantized copy of the frame ever exists.
     ///
@@ -224,8 +227,8 @@ impl RangeProfiler {
         Some(&self.profile)
     }
 
-    /// Frame complete: window the averaged sweeps, zoom-transform the
-    /// kept band, reset the accumulators. (The 1/sweeps_per_frame average
+    /// Frame complete: window the averaged sweeps, transform the kept
+    /// band, reset the accumulators. (The 1/sweeps_per_frame average
     /// folds into the windowing — or dequantization — multiply; the
     /// shared tables stay unscaled.)
     fn complete_frame(&mut self) {
@@ -236,9 +239,9 @@ impl RangeProfiler {
         if self.q_sweeps == self.sweeps_accumulated {
             // Pure quantized frame (the serving hot path): the integer
             // accumulator is already windowed; hand it straight to the
-            // transform, which dequantizes inside the pre-chirp multiply.
-            self.czt
-                .transform_q_into(&self.accum_q, q_scale, &mut self.profile, &mut self.scratch);
+            // transform, which dequantizes inside its packing pass.
+            self.band
+                .forward_q_into(&self.accum_q, q_scale, &mut self.profile, &mut self.scratch);
         } else {
             simd::window_scale(&mut self.windowed, &self.accum, &self.window, scale);
             if self.q_sweeps > 0 {
@@ -247,8 +250,8 @@ impl RangeProfiler {
                     *w += q as f64 * q_scale;
                 }
             }
-            self.czt
-                .transform_into(&self.windowed, &mut self.profile, &mut self.scratch);
+            self.band
+                .forward_into(&self.windowed, &mut self.profile, &mut self.scratch);
         }
         self.clear_accumulators();
     }
@@ -383,8 +386,8 @@ mod tests {
     }
 
     #[test]
-    fn zoom_transform_matches_full_fft_then_truncate() {
-        // The pre-CZT production path: full-length FFT, truncate to keep.
+    fn band_transform_matches_full_fft_then_truncate() {
+        // The plain path: full-length FFT, truncate to keep.
         let cfg = small_cfg();
         let mut p = RangeProfiler::new(&cfg, WindowKind::Hann, cfg.round_trip_for_bin(40.0));
         let n = cfg.samples_per_sweep();
@@ -399,6 +402,72 @@ mod tests {
         let profile = p.push_sweep(&sweep).unwrap();
         for (i, (a, b)) in profile.iter().zip(&reference).enumerate() {
             assert!((*a - *b).abs() < 1e-9 * n as f64, "bin {i}: {a} vs {b}");
+        }
+    }
+
+    /// Bins `0..keep` of the direct DFT of a real signal.
+    fn naive_band(x: &[f64], keep: usize) -> Vec<Complex> {
+        let n = x.len();
+        (0..keep)
+            .map(|k| {
+                x.iter()
+                    .enumerate()
+                    .map(|(j, &v)| Complex::cis(-2.0 * PI * ((j * k) % n) as f64 / n as f64) * v)
+                    .sum()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paper_config_band_matches_naive_dft_on_both_paths() {
+        // n = 2500 (one 1250 = 2·5⁴ point transform), 171 kept bins.
+        let cfg = SweepConfig::witrack();
+        let n = cfg.samples_per_sweep();
+        let mut pf = RangeProfiler::new(&cfg, WindowKind::Hann, 30.0);
+        let mut pq = RangeProfiler::new(&cfg, WindowKind::Hann, 30.0);
+        assert_eq!((n, pf.keep_bins()), (2500, 171));
+        assert_eq!(pf.plan().radices(), vec![2, 5, 5, 5, 5]);
+        let window = WindowKind::Hann.generate(n);
+        let window_q15 = WindowKind::Hann.shared_q15(n);
+        let wire_scale = 1.0 / 32767.0;
+        let mut accum = vec![0.0; n];
+        let mut accum_q = vec![0i32; n];
+        let mut out = (Vec::new(), Vec::new());
+        for k in 0..cfg.sweeps_per_frame {
+            let sweep = tone_sweep(
+                &cfg,
+                (37.3 + k as f64) * cfg.bin_spacing_hz(),
+                0.4 * k as f64,
+            );
+            let q: Vec<i16> = sweep
+                .iter()
+                .map(|&v| (v * 32767.0).round() as i16)
+                .collect();
+            for (a, &v) in accum.iter_mut().zip(&sweep) {
+                *a += v;
+            }
+            simd::scalar::window_accum_q(&mut accum_q, &q, &window_q15);
+            if let Some(p) = pf.push_sweep(&sweep) {
+                out.0 = p.to_vec();
+            }
+            if let Some(p) = pq.push_sweep_q(&q, wire_scale) {
+                out.1 = p.to_vec();
+            }
+        }
+        let avg = 1.0 / cfg.sweeps_per_frame as f64;
+        let x: Vec<f64> = accum
+            .iter()
+            .zip(&window)
+            .map(|(a, w)| a * w * avg)
+            .collect();
+        let q_scale = wire_scale * avg * Q15_GAIN;
+        let x_q: Vec<f64> = accum_q.iter().map(|&a| a as f64 * q_scale).collect();
+        for (got, x) in [(&out.0, &x), (&out.1, &x_q)] {
+            let reference = naive_band(x, 171);
+            assert_eq!(got.len(), 171);
+            for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+                assert!((*a - *b).abs() < 1e-9 * n as f64, "bin {i}: {a} vs {b}");
+            }
         }
     }
 
@@ -427,7 +496,7 @@ mod tests {
         let b = RangeProfiler::new(&cfg, WindowKind::Hann, 50.0);
         assert!(
             std::sync::Arc::ptr_eq(a.plan(), b.plan()),
-            "same sweep config must share one CZT plan"
+            "same sweep config must share one band plan"
         );
         // And the shared plan still produces per-stream-independent output.
         let mut a = a;

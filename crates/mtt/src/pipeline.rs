@@ -9,7 +9,7 @@
 //!    ([`witrack_fmcw::ContourTracker::detect_top_k`]) instead of one.
 //!    On frame-completing sweeps this per-antenna stage fans out across
 //!    scoped threads (multi-core hosts only), and its buffers — profile,
-//!    CZT scratch, baseline, magnitudes, detections, association cost
+//!    transform scratch, baseline, magnitudes, detections, association cost
 //!    matrix and solver scratch — are reused across frames: the
 //!    profile→background path performs no steady-state heap allocation
 //!    (the noise-floor order statistics inside contour detection and the

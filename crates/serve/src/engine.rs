@@ -837,7 +837,7 @@ impl ShardWorker {
 
     /// Handles one dequeued message, then greedily drains everything
     /// already queued before blocking again. Sweep batches processed in
-    /// one drain run back-to-back while the shard's CZT plans, window
+    /// one drain run back-to-back while the shard's transform plans, window
     /// tables, and pipeline state are cache-hot — at 100+ co-sharded
     /// sensors the per-dispatch warm-up otherwise dominates — and the
     /// group size feeds the `dsp/batched_frames` counter.

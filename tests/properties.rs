@@ -1,8 +1,7 @@
 //! Property-based tests on the core invariants, spanning crates.
 
 use proptest::prelude::*;
-use witrack_repro::dsp::czt::Czt;
-use witrack_repro::dsp::{fft::dft_naive, Complex, Fft};
+use witrack_repro::dsp::{fft::dft_naive, Complex, Fft, RealBand};
 use witrack_repro::fmcw::SweepConfig;
 use witrack_repro::geom::multilateration::{solve_least_squares, GaussNewtonConfig};
 use witrack_repro::geom::{Ellipsoid, Plane, TArray, Vec3};
@@ -170,44 +169,47 @@ proptest! {
         }
     }
 
-    /// The zoomed chirp-Z transform agrees with the reference DFT over the
-    /// kept band for arbitrary lengths and band widths (this sweeps both
-    /// the packed two-for-one path and the direct fallback).
+    /// The real-input band transform agrees with the reference DFT over
+    /// the kept band for arbitrary lengths and band widths (this sweeps the
+    /// packed two-for-one path over radix-2, mixed-radix and Bluestein half
+    /// lengths, and the unpacked odd-length path).
     #[test]
-    fn czt_matches_naive_band(n in 2usize..96, keep_seed in 0u64..1000) {
+    fn real_band_matches_naive_band(n in 2usize..96, keep_seed in 0u64..1000) {
         let keep = 1 + (keep_seed as usize) % n;
         let signal: Vec<f64> = (0..n)
             .map(|i| (((i as u64 + 2) * (keep_seed + 5)) as f64 * 0.013).sin())
             .collect();
-        let zoom = Czt::new(n, keep).transform(&signal);
+        let band = RealBand::new(n, keep).forward(&signal);
         let data: Vec<Complex> = signal.iter().map(|&x| Complex::real(x)).collect();
         let slow = dft_naive(&data);
-        for (k, (a, b)) in zoom.iter().zip(&slow).enumerate() {
+        for (k, (a, b)) in band.iter().zip(&slow).enumerate() {
             prop_assert!((*a - *b).abs() < 1e-8 * n as f64, "bin {k}: {a} vs {b}");
         }
     }
 
-    /// `Czt::transform_into` never allocates after plan creation: across
+    /// `RealBand::forward_into` never allocates after plan creation: across
     /// repeated transforms of varying signals, the caller-owned scratch and
     /// output buffers keep their identity (base pointer) and capacity.
     #[test]
-    fn czt_transform_into_never_allocates(n in 2usize..80, seed in 0u64..500) {
+    fn real_band_forward_into_never_allocates(n in 2usize..80, seed in 0u64..500) {
         let keep = 1 + (seed as usize) % n;
-        let czt = Czt::new(n, keep);
-        let mut scratch = czt.make_scratch();
+        let band = RealBand::new(n, keep);
+        let mut scratch = band.make_scratch();
         let mut out = vec![Complex::ZERO; keep];
-        let (sp, sc) = (scratch.buf_ptr(), scratch.buf_capacity());
-        let (bp, bc) = (scratch.band_ptr(), scratch.band_capacity());
+        let (bp, bc) = (scratch.buf_ptr(), scratch.buf_capacity());
+        let (wp, wc) = (scratch.work_ptr(), scratch.work_capacity());
         let (op, oc) = (out.as_ptr(), out.capacity());
         for round in 0..6u64 {
             let signal: Vec<f64> = (0..n)
                 .map(|i| (((i as u64 + 1) * (seed + round + 3)) as f64 * 0.021).cos())
                 .collect();
-            czt.transform_into(&signal, &mut out, &mut scratch);
-            prop_assert_eq!(scratch.buf_ptr(), sp, "scratch buffer reallocated");
-            prop_assert_eq!(scratch.buf_capacity(), sc);
-            prop_assert_eq!(scratch.band_ptr(), bp, "band buffer reallocated");
-            prop_assert_eq!(scratch.band_capacity(), bc);
+            band.forward_into(&signal, &mut out, &mut scratch);
+            let q: Vec<i32> = signal.iter().map(|&x| (x * 1e4) as i32).collect();
+            band.forward_q_into(&q, 1e-4, &mut out, &mut scratch);
+            prop_assert_eq!(scratch.buf_ptr(), bp, "input buffer reallocated");
+            prop_assert_eq!(scratch.buf_capacity(), bc);
+            prop_assert_eq!(scratch.work_ptr(), wp, "work buffer reallocated");
+            prop_assert_eq!(scratch.work_capacity(), wc);
             prop_assert_eq!(out.as_ptr(), op, "output buffer reallocated");
             prop_assert_eq!(out.capacity(), oc);
             prop_assert_eq!(out.len(), keep);
