@@ -50,8 +50,9 @@ measure queue occupancy under deliberate Block backpressure — they
 swing an order of magnitude with host load, so they are carried in the
 artifact for inspection but never gated.
 
-Artifacts may carry a top-level ``host`` fingerprint (``t_dsp`` writes
-CPU counts, CPU model, SIMD kernel path and compiler). When the baseline
+Artifacts may carry a top-level ``host`` fingerprint (``t_dsp`` and
+``t_throughput`` write CPU counts, CPU model, SIMD kernel path and
+compiler). When the baseline
 and fresh fingerprints differ, or only one file has one, the gate prints
 a note naming the differing fields, because the ratios then mix code and
 hardware changes. The note never changes the verdict.

@@ -19,9 +19,12 @@
 //! (measurement floor per scenario — recorded data is replayed in a loop
 //! until both the frame count and the time floor are met, default 1.0),
 //! `--seed N`, `--out PATH` (default `BENCH_throughput.json`; `-` skips
-//! writing).
+//! writing). The artifact carries a `host` fingerprint (CPU counts and
+//! model, kernel path, rustc) so a baseline from another machine can be
+//! told apart.
 
 use std::time::Instant;
+use witrack_bench::host::Host;
 use witrack_bench::printing::banner;
 use witrack_core::{WiTrack, WiTrackConfig};
 use witrack_geom::Vec3;
@@ -175,6 +178,7 @@ fn main() {
         "frames/sec of the streaming pipelines (processing only)",
         "real-time budget: 80 frames/s (one frame per 12.5 ms, §7)",
     );
+    let host = Host::detect();
     let cfg = WiTrackConfig::witrack_default();
     let sweep = cfg.sweep;
     let frame_period_s = sweep.frame_duration_s();
@@ -221,6 +225,10 @@ fn main() {
         });
     }
 
+    println!(
+        "host: {} ({} cpus, {} in affinity mask), {}",
+        host.cpu_model, host.nproc, host.affinity_cpus, host.rustc
+    );
     println!(
         "config: {} samples/sweep, {} sweeps/frame, 3 rx antennas, frame period {:.1} ms\n",
         sweep.samples_per_sweep(),
@@ -286,6 +294,7 @@ fn main() {
             concat!(
                 "{{\n",
                 "  \"bench\": \"t_throughput\",\n",
+                "  \"host\": {},\n",
                 "  \"config\": {{\n",
                 "    \"samples_per_sweep\": {},\n",
                 "    \"sweeps_per_frame\": {},\n",
@@ -296,6 +305,7 @@ fn main() {
                 "  \"scenarios\": [\n{}\n  ]\n",
                 "}}\n"
             ),
+            host.to_json(),
             sweep.samples_per_sweep(),
             sweep.sweeps_per_frame,
             frame_period_s * 1e3,

@@ -7,11 +7,11 @@
 //! position, and the per-antenna spectral features the §6 applications
 //! consume.
 //!
-//! The per-antenna stages are independent until the §5 solve, so on
-//! frame-completing sweeps (where the heavy band transform + contour work
-//! happens) they fan out across OS threads with [`std::thread::scope`] when
-//! the host has cores to spare; accumulate-only sweeps and single-core
-//! hosts stay serial, where thread spawning would only add overhead.
+//! The per-antenna stages run one after another on the caller's thread. A
+//! serving host gets its parallelism from shards (one thread per shard,
+//! many sensors each), so a frame never spawns threads; the antennas'
+//! band transforms share one per-thread working buffer (see
+//! [`witrack_fmcw::RangeProfiler`]) that stays cache-resident across them.
 
 use crate::config::{SolverChoice, WiTrackConfig};
 use witrack_fmcw::{Sweep, TofEstimator, TofFrame};
@@ -50,25 +50,6 @@ impl TrackUpdate {
     }
 }
 
-/// Whether per-antenna frame work should fan out across threads: only when
-/// there is more than one antenna *and* more than one core (on a single
-/// core, scoped spawning is pure overhead). Checked once at pipeline
-/// construction.
-///
-/// The fan-out spawns scoped threads per frame (the caller's thread takes
-/// the last antenna). At the paper config each spawned stage is tens of
-/// microseconds against a spawn cost of the same order, so the win is
-/// real but thin; heavier configs (longer sweeps, more antennas, larger
-/// kept bands) amortize the spawns better. A persistent worker pool would
-/// remove the per-frame spawn entirely and is the natural next step if
-/// profiling on a multi-core deployment shows the spawn dominating.
-pub fn antenna_parallelism(n_rx: usize) -> bool {
-    n_rx > 1
-        && std::thread::available_parallelism()
-            .map(|p| p.get() > 1)
-            .unwrap_or(false)
-}
-
 /// The most receive antennas a [`WiTrack`] accepts: the per-frame solve
 /// keeps its round trips in a fixed stack array of this size.
 pub const MAX_RX: usize = 16;
@@ -83,8 +64,6 @@ pub struct WiTrack {
     array: AntennaArray,
     tarray: Option<TArray>,
     estimators: Vec<TofEstimator>,
-    /// Fan frame work out across antenna threads (see [`antenna_parallelism`]).
-    parallel: bool,
     gn: GaussNewtonConfig,
     /// Recent positions solved from all-live (non-held) round trips. While
     /// any antenna interpolates, the component-wise median of these is
@@ -131,7 +110,6 @@ impl WiTrack {
         let array = tarray.antenna_array();
         Ok(WiTrack {
             estimators: Self::make_estimators(&cfg, array.num_rx()),
-            parallel: antenna_parallelism(array.num_rx()),
             tarray: Some(tarray),
             array,
             gn: GaussNewtonConfig::default(),
@@ -154,7 +132,6 @@ impl WiTrack {
         }
         Ok(WiTrack {
             estimators: Self::make_estimators(&cfg, array.num_rx()),
-            parallel: antenna_parallelism(array.num_rx()),
             tarray: None,
             array,
             gn: GaussNewtonConfig::default(),
@@ -254,25 +231,19 @@ impl WiTrack {
         )
     }
 
-    fn push_sweeps_inner<'a, I>(&mut self, per_rx: I) -> Option<TrackUpdate>
-    where
-        I: DoubleEndedIterator<Item = Sweep<'a>> + ExactSizeIterator,
-    {
-        // Sweeps that only accumulate are microseconds of work; spawning
-        // threads for them would dominate. Fan out only when this sweep
-        // completes a frame (band transform + contour + denoise per
-        // antenna) and the host is multi-core.
-        let completes = self
-            .estimators
-            .first()
-            .map(|e| e.next_sweep_completes_frame())
-            .unwrap_or(false);
-        // One per-antenna stage, stage-timed when histograms are
-        // attached (the timed path only measures frame-completing
-        // sweeps; accumulate-only sweeps record nothing).
+    fn push_sweeps_inner<'a>(
+        &mut self,
+        per_rx: impl Iterator<Item = Sweep<'a>>,
+    ) -> Option<TrackUpdate> {
+        // One per-antenna stage, stage-timed when histograms are attached
+        // (the timed path only measures frame-completing sweeps;
+        // accumulate-only sweeps record nothing).
         let stats = &self.stats;
-        let stage = |est: &mut TofEstimator, sweep: Sweep<'a>| -> Option<TofFrame> {
-            match stats {
+        let frames: Vec<Option<TofFrame>> = self
+            .estimators
+            .iter_mut()
+            .zip(per_rx)
+            .map(|(est, sweep)| match stats {
                 Some(st) => {
                     let mut times = witrack_fmcw::StageTimes::default();
                     let frame = est.push_timed(sweep, &mut times);
@@ -283,33 +254,8 @@ impl WiTrack {
                     frame
                 }
                 None => est.push(sweep),
-            }
-        };
-        let frames: Vec<Option<TofFrame>> = if self.parallel && completes {
-            std::thread::scope(|s| {
-                // The caller's thread takes the last antenna itself instead
-                // of blocking in join — one fewer spawn per frame.
-                let stage = &stage;
-                let mut stages = self.estimators.iter_mut().zip(per_rx);
-                let last = stages.next_back();
-                let handles: Vec<_> = stages
-                    .map(|(est, sweep)| s.spawn(move || stage(est, sweep)))
-                    .collect();
-                let inline = last.map(|(est, sweep)| stage(est, sweep));
-                let mut frames: Vec<Option<TofFrame>> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("antenna stage panicked"))
-                    .collect();
-                frames.extend(inline);
-                frames
             })
-        } else {
-            self.estimators
-                .iter_mut()
-                .zip(per_rx)
-                .map(|(est, sweep)| stage(est, sweep))
-                .collect()
-        };
+            .collect();
         // All estimators share the sweep clock, so they emit frames together.
         if frames.iter().any(|f| f.is_none()) {
             debug_assert!(

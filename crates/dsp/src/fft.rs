@@ -526,8 +526,10 @@ pub struct RealBand {
 }
 
 /// Caller-owned working memory for [`RealBand`]: the packed input buffer
-/// and the transform's scratch. Create one per stream with
-/// [`RealBand::make_scratch`]; repeated transforms never reallocate it.
+/// and the transform's scratch. Create one with [`RealBand::make_scratch`]
+/// and reuse it across transforms (it holds no state between calls, so
+/// one per thread serves every stream that thread runs); repeated
+/// transforms never reallocate it.
 #[derive(Debug, Clone)]
 pub struct BandScratch {
     /// Packed input; after the transform it may hold the spectrum.

@@ -116,20 +116,9 @@ impl ContourTracker {
     /// already-accepted nearer peak are treated as the same reflector's
     /// spectral lobe and skipped.
     ///
-    /// `detect(m)` is exactly `detect_top_k(m, 1, 0.0).first()`.
-    pub fn detect_top_k(
-        &mut self,
-        magnitudes: &[f64],
-        k: usize,
-        min_separation_bins: f64,
-    ) -> Vec<Detection> {
-        let mut out = Vec::new();
-        self.detect_top_k_into(magnitudes, k, min_separation_bins, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`ContourTracker::detect_top_k`]: clears
-    /// `out` and refills it, reusing its capacity across frames.
+    /// The detections go into `out`, which is cleared and refilled,
+    /// reusing its capacity across frames. `detect(m)` is exactly the
+    /// first detection of `k = 1` with no separation.
     pub fn detect_top_k_into(
         &mut self,
         magnitudes: &[f64],
@@ -219,6 +208,12 @@ mod tests {
         m
     }
 
+    fn top_k(t: &mut ContourTracker, m: &[f64], k: usize, sep: f64) -> Vec<Detection> {
+        let mut out = Vec::new();
+        t.detect_top_k_into(m, k, sep, &mut out);
+        out
+    }
+
     #[test]
     fn picks_nearest_strong_peak_not_strongest() {
         let sweep = cfg();
@@ -238,7 +233,7 @@ mod tests {
         let sweep = cfg();
         let mut t = ContourTracker::new(sweep, ContourConfig::default());
         let m = frame(200, &[(40.0, 5.0), (70.0, 20.0), (120.0, 8.0)], 0.1);
-        let dets = t.detect_top_k(&m, 3, 2.0);
+        let dets = top_k(&mut t, &m, 3, 2.0);
         assert_eq!(dets.len(), 3);
         assert!((dets[0].bin - 40.0).abs() < 0.5);
         assert!((dets[1].bin - 70.0).abs() < 0.5);
@@ -248,8 +243,8 @@ mod tests {
         let single = t.detect(&m).unwrap();
         assert_eq!(dets[0], single);
         // k truncates nearest-first.
-        assert_eq!(t.detect_top_k(&m, 2, 2.0).len(), 2);
-        assert!((t.detect_top_k(&m, 1, 2.0)[0].bin - 40.0).abs() < 0.5);
+        assert_eq!(top_k(&mut t, &m, 2, 2.0).len(), 2);
+        assert!((top_k(&mut t, &m, 1, 2.0)[0].bin - 40.0).abs() < 0.5);
     }
 
     #[test]
@@ -259,21 +254,21 @@ mod tests {
         // Two ripples of one wide reflector at bins 50/52, a real second
         // target at 90.
         let m = frame(200, &[(50.0, 10.0), (52.3, 9.0), (90.0, 8.0)], 0.05);
-        let dets = t.detect_top_k(&m, 3, 4.0);
+        let dets = top_k(&mut t, &m, 3, 4.0);
         assert_eq!(dets.len(), 2, "{dets:?}");
         assert!((dets[0].bin - 50.0).abs() < 0.6);
         assert!((dets[1].bin - 90.0).abs() < 0.5);
         // With no separation requirement all three maxima surface.
-        assert_eq!(t.detect_top_k(&m, 3, 0.0).len(), 3);
+        assert_eq!(top_k(&mut t, &m, 3, 0.0).len(), 3);
     }
 
     #[test]
     fn top_k_empty_cases() {
         let mut t = ContourTracker::new(cfg(), ContourConfig::default());
         let m = frame(200, &[(40.0, 5.0)], 0.1);
-        assert!(t.detect_top_k(&m, 0, 2.0).is_empty());
-        assert!(t.detect_top_k(&[1.0, 2.0], 3, 2.0).is_empty());
-        assert!(t.detect_top_k(&vec![0.0; 200], 3, 2.0).is_empty());
+        assert!(top_k(&mut t, &m, 0, 2.0).is_empty());
+        assert!(top_k(&mut t, &[1.0, 2.0], 3, 2.0).is_empty());
+        assert!(top_k(&mut t, &vec![0.0; 200], 3, 2.0).is_empty());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl TofFrame {
 }
 
 /// Wall times of the heavy per-antenna stages for one frame-completing
-/// sweep (see [`TofEstimator::push_sweep_timed`]). Nanoseconds.
+/// sweep (see [`TofEstimator::push_timed`]). Nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Sweep accumulation + range profiling (the band transform).
@@ -87,22 +87,9 @@ impl TofEstimator {
         }
     }
 
-    /// The sweep configuration this estimator runs.
-    pub fn sweep_config(&self) -> &SweepConfig {
-        &self.cfg
-    }
-
     /// Number of range bins in emitted magnitude frames.
     pub fn num_bins(&self) -> usize {
         self.profiler.keep_bins()
-    }
-
-    /// Whether the next [`TofEstimator::push_sweep`] completes a frame (and
-    /// therefore runs the heavy transform/contour stage). Multi-antenna
-    /// drivers use this to fan frame work out across threads only when
-    /// there is frame work to do.
-    pub fn next_sweep_completes_frame(&self) -> bool {
-        self.profiler.next_sweep_completes_frame()
     }
 
     /// Pushes one sweep of baseband samples; returns a frame every
@@ -124,36 +111,6 @@ impl TofEstimator {
         self.push_inner(Sweep::Q(samples, scale), None)
     }
 
-    /// [`Self::push_sweep`], additionally reporting how long the two
-    /// heavy stages took on a frame-completing sweep: range profiling
-    /// (the band transform) in `times.profile_ns`, background subtraction +
-    /// contour detection + denoising in `times.detect_ns`.
-    /// Accumulate-only sweeps leave `times` untouched.
-    ///
-    /// # Panics
-    /// Panics if `samples` is not exactly one sweep long.
-    pub fn push_sweep_timed(
-        &mut self,
-        samples: &[f64],
-        times: &mut StageTimes,
-    ) -> Option<TofFrame> {
-        self.push_inner(Sweep::F64(samples), Some(times))
-    }
-
-    /// [`Self::push_sweep_q`] with the stage timing of
-    /// [`Self::push_sweep_timed`].
-    ///
-    /// # Panics
-    /// Panics if `samples` is not exactly one sweep long.
-    pub fn push_sweep_q_timed(
-        &mut self,
-        samples: &[i16],
-        scale: f64,
-        times: &mut StageTimes,
-    ) -> Option<TofFrame> {
-        self.push_inner(Sweep::Q(samples, scale), Some(times))
-    }
-
     /// Pushes one sweep in either representation.
     ///
     /// # Panics
@@ -162,7 +119,11 @@ impl TofEstimator {
         self.push_inner(sweep, None)
     }
 
-    /// Pushes one sweep in either representation, stage-timed.
+    /// [`Self::push`], additionally reporting how long the two heavy
+    /// stages took on a frame-completing sweep: range profiling (the band
+    /// transform) in `times.profile_ns`, background subtraction + contour
+    /// detection + denoising in `times.detect_ns`. Accumulate-only sweeps
+    /// leave `times` untouched.
     ///
     /// # Panics
     /// Panics if the sweep is not exactly one sweep long.

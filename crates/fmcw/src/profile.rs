@@ -16,12 +16,17 @@
 //! target, so the transform is a real-input band transform
 //! ([`witrack_dsp::RealBand`]): the 2500 windowed reals are packed into
 //! 1250 complex points, run through one mixed-radix (2·5⁴) Stockham FFT,
-//! and only the kept bins are unpacked. Every buffer (accumulator,
-//! windowed frame, transform scratch, output profile) is owned by the
-//! profiler and reused, so the steady-state per-frame path performs no
-//! heap allocation.
+//! and only the kept bins are unpacked. The per-stream buffers
+//! (accumulators, output profile) are owned by the profiler; the transform
+//! working memory (packed input, Stockham ping-pong buffer, windowed frame)
+//! is borrowed for the length of one frame completion from a per-thread
+//! scratch shared by every profiler of that sweep length. A serving thread
+//! that runs dozens of antennas therefore keeps one cache-warm scratch
+//! instead of one cold copy per antenna, and the steady-state per-frame
+//! path performs no heap allocation.
 
 use crate::config::SweepConfig;
+use std::cell::RefCell;
 use std::sync::Arc;
 use witrack_dsp::window::{WindowKind, Q15_GAIN};
 use witrack_dsp::{simd, BandScratch, Complex, RealBand};
@@ -61,14 +66,22 @@ impl Sweep<'_> {
     }
 }
 
+thread_local! {
+    /// This thread's transform working memory, one entry per sweep length
+    /// in use (its shape depends on the sweep length alone): the band
+    /// transform's scratch and the float path's windowed frame.
+    static FRAME_SCRATCH: RefCell<Vec<(usize, BandScratch, Vec<f64>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
 /// Converts accumulated sweeps into complex range profiles.
 ///
 /// The window table and band-transform plan are **process-shared** (via
 /// [`WindowKind::shared`] and [`RealBand::shared`]): every profiler at the
 /// same sweep configuration — all antennas of all sensors on a serving
-/// host — reads one copy of each. Only the per-stream buffers
-/// (accumulator, windowed frame, transform scratch, output profile) are
-/// owned per instance.
+/// host — reads one copy of each. The transform working memory is
+/// per-thread (see the module docs); only the per-stream buffers
+/// (accumulators, output profile) are owned per instance.
 #[derive(Debug, Clone)]
 pub struct RangeProfiler {
     samples_per_sweep: usize,
@@ -82,7 +95,6 @@ pub struct RangeProfiler {
     frame_scale: f64,
     /// Shared band transform producing exactly `keep_bins` bins.
     band: Arc<RealBand>,
-    scratch: BandScratch,
     /// Time-domain accumulator for the current frame (float sweeps).
     accum: Vec<f64>,
     /// Fixed-point accumulator for quantized sweeps: windowed Q15
@@ -93,8 +105,6 @@ pub struct RangeProfiler {
     accum_q_scale: f64,
     /// Quantized sweeps folded into the current frame so far.
     q_sweeps: usize,
-    /// Windowed average of the accumulated sweeps (transform input), reused.
-    windowed: Vec<f64>,
     /// The emitted range profile, reused across frames.
     profile: Vec<Complex>,
     sweeps_accumulated: usize,
@@ -113,7 +123,6 @@ impl RangeProfiler {
         let window_q15 = window.shared_q15(n);
         let window = window.shared(n);
         let band = RealBand::shared(n, keep);
-        let scratch = band.make_scratch();
         RangeProfiler {
             samples_per_sweep: n,
             sweeps_per_frame: cfg.sweeps_per_frame,
@@ -121,12 +130,10 @@ impl RangeProfiler {
             window_q15,
             frame_scale: 1.0 / cfg.sweeps_per_frame as f64,
             band,
-            scratch,
             accum: vec![0.0; n],
             accum_q: vec![0; n],
             accum_q_scale: 0.0,
             q_sweeps: 0,
-            windowed: vec![0.0; n],
             profile: vec![Complex::ZERO; keep],
             sweeps_accumulated: 0,
             keep_bins: keep,
@@ -150,8 +157,8 @@ impl RangeProfiler {
     }
 
     /// Whether the *next* [`RangeProfiler::push_sweep`] will complete a
-    /// frame — lets multi-antenna drivers fan the heavy frame work out to
-    /// threads only when there is frame work to do.
+    /// frame — lets multi-antenna callers skip the frame stage on
+    /// accumulate-only sweeps.
     pub fn next_sweep_completes_frame(&self) -> bool {
         self.sweeps_accumulated + 1 == self.sweeps_per_frame
     }
@@ -236,23 +243,31 @@ impl RangeProfiler {
         // Dequantization scale of the integer accumulator: wire scale ×
         // frame average × the Q15 window tables' uniform gain correction.
         let q_scale = self.accum_q_scale * scale * Q15_GAIN;
-        if self.q_sweeps == self.sweeps_accumulated {
-            // Pure quantized frame (the serving hot path): the integer
-            // accumulator is already windowed; hand it straight to the
-            // transform, which dequantizes inside its packing pass.
-            self.band
-                .forward_q_into(&self.accum_q, q_scale, &mut self.profile, &mut self.scratch);
-        } else {
-            simd::window_scale(&mut self.windowed, &self.accum, &self.window, scale);
-            if self.q_sweeps > 0 {
-                // Mixed frame: the quantized part is windowed already.
-                for (w, &q) in self.windowed.iter_mut().zip(&self.accum_q) {
-                    *w += q as f64 * q_scale;
+        FRAME_SCRATCH.with_borrow_mut(|entries| {
+            let n = self.samples_per_sweep;
+            let at = entries.iter().position(|(len, ..)| *len == n);
+            let at = at.unwrap_or_else(|| {
+                entries.push((n, self.band.make_scratch(), vec![0.0; n]));
+                entries.len() - 1
+            });
+            let (_, scratch, windowed) = &mut entries[at];
+            if self.q_sweeps == self.sweeps_accumulated {
+                // Pure quantized frame (the serving hot path): the integer
+                // accumulator is already windowed; hand it straight to the
+                // transform, which dequantizes inside its packing pass.
+                self.band
+                    .forward_q_into(&self.accum_q, q_scale, &mut self.profile, scratch);
+            } else {
+                simd::window_scale(windowed, &self.accum, &self.window, scale);
+                if self.q_sweeps > 0 {
+                    // Mixed frame: the quantized part is windowed already.
+                    for (w, &q) in windowed.iter_mut().zip(&self.accum_q) {
+                        *w += q as f64 * q_scale;
+                    }
                 }
+                self.band.forward_into(windowed, &mut self.profile, scratch);
             }
-            self.band
-                .forward_into(&self.windowed, &mut self.profile, &mut self.scratch);
-        }
+        });
         self.clear_accumulators();
     }
 

@@ -24,8 +24,10 @@
 use crate::antenna::AntennaArray;
 use crate::vec3::Vec3;
 
-/// Tuning for the Gauss–Newton solver. The defaults converge in < 10
-/// iterations for all WiTrack geometries.
+/// Tuning for the Gauss–Newton solver. Consistent round trips at WiTrack
+/// geometries converge in a handful of iterations; inconsistent ones
+/// (e.g. a tuple mixing two people's echoes) diverge and stop at the
+/// feasibility bound instead of running to `max_iterations`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussNewtonConfig {
     /// Maximum iterations before giving up.
@@ -151,6 +153,11 @@ fn residual_rms(array: &AntennaArray, round_trips: &[f64], p: Vec3) -> f64 {
 
 /// One damped Gauss–Newton descent from `seed`. Returns the final iterate and
 /// the iteration count; does not decide success.
+///
+/// Stops with [`SolveError::DidNotConverge`] once an iterate is farther from
+/// the transmitter than the longest measured round trip: every round trip
+/// from there exceeds `|p − tx|`, so no point there fits any measurement,
+/// and a descent that got there is diverging.
 fn descend(
     array: &AntennaArray,
     round_trips: &[f64],
@@ -158,6 +165,7 @@ fn descend(
     cfg: &GaussNewtonConfig,
 ) -> Result<(Vec3, usize), SolveError> {
     let tx = array.tx.position;
+    let feasible = round_trips.iter().copied().fold(0.0, f64::max);
     let mut p = seed;
     for iter in 0..cfg.max_iterations {
         // Build normal equations JᵀJ · Δ = −Jᵀr.
@@ -183,6 +191,11 @@ fn descend(
         p += step;
         if step.norm() < cfg.step_tolerance {
             return Ok((p, iter + 1));
+        }
+        if p.distance(tx) > feasible {
+            return Err(SolveError::DidNotConverge {
+                residual_rms: residual_rms(array, round_trips, p),
+            });
         }
     }
     Ok((p, cfg.max_iterations))
@@ -221,10 +234,14 @@ pub fn solve_least_squares(
         let n = array.tx.boresight;
         let d = (p - array.tx.position).dot(n);
         let mirrored = p - n * (2.0 * d);
-        let (p2, it2) = descend(array, round_trips, mirrored, cfg)?;
-        if array.in_all_beams(p2) {
-            p = p2;
-            iters += it2;
+        match descend(array, round_trips, mirrored, cfg) {
+            Ok((p2, it2)) if array.in_all_beams(p2) => {
+                p = p2;
+                iters += it2;
+            }
+            // A diverging retry leaves the first descent's answer standing.
+            Ok(_) | Err(SolveError::DidNotConverge { .. }) => {}
+            Err(e) => return Err(e),
         }
     }
 
@@ -352,6 +369,137 @@ mod tests {
         ];
         let x = solve_3x3(m, b).unwrap();
         assert_vec_close(x, x_true, 1e-10);
+    }
+
+    /// The solver as it was before the feasibility stop: every descent
+    /// runs to convergence or `max_iterations`.
+    fn solve_without_feasibility_stop(
+        array: &AntennaArray,
+        round_trips: &[f64],
+        cfg: &GaussNewtonConfig,
+    ) -> Result<SolveResult, SolveError> {
+        let descend = |seed: Vec3| -> Result<(Vec3, usize), SolveError> {
+            let tx = array.tx.position;
+            let mut p = seed;
+            for iter in 0..cfg.max_iterations {
+                let mut jtj = [[0.0_f64; 3]; 3];
+                let mut jtr = [0.0_f64; 3];
+                for (k, &r) in round_trips.iter().enumerate() {
+                    let rx = array.rx[k].position;
+                    let g = (p - tx).normalized_or_zero() + (p - rx).normalized_or_zero();
+                    let res = array.round_trip(p, k) - r;
+                    let gc = [g.x, g.y, g.z];
+                    for i in 0..3 {
+                        for j in 0..3 {
+                            jtj[i][j] += gc[i] * gc[j];
+                        }
+                        jtr[i] += gc[i] * res;
+                    }
+                }
+                for (i, row) in jtj.iter_mut().enumerate() {
+                    row[i] += cfg.damping;
+                }
+                let step = solve_3x3(jtj, [-jtr[0], -jtr[1], -jtr[2]])
+                    .ok_or(SolveError::SingularGeometry)?;
+                p += step;
+                if step.norm() < cfg.step_tolerance {
+                    return Ok((p, iter + 1));
+                }
+            }
+            Ok((p, cfg.max_iterations))
+        };
+        let mean_range = round_trips.iter().sum::<f64>() / (2.0 * round_trips.len() as f64);
+        let seed = array.centroid() + array.tx.boresight * mean_range.max(0.5);
+        let (mut p, mut iters) = descend(seed)?;
+        if !array.in_all_beams(p) {
+            let n = array.tx.boresight;
+            let d = (p - array.tx.position).dot(n);
+            let (p2, it2) = descend(p - n * (2.0 * d))?;
+            if array.in_all_beams(p2) {
+                p = p2;
+                iters += it2;
+            }
+        }
+        let rms = residual_rms(array, round_trips, p);
+        if !p.is_finite() || rms > 1.0 {
+            return Err(SolveError::DidNotConverge { residual_rms: rms });
+        }
+        Ok(SolveResult {
+            position: p,
+            residual_rms: rms,
+            iterations: iters,
+        })
+    }
+
+    /// SplitMix64 mapped to `[0, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as f64 / (u64::MAX as f64 + 1.0)
+    }
+
+    #[test]
+    fn infeasible_tuple_stops_within_ten_iterations() {
+        // The two bar antennas are 2 m apart, so their round trips to one
+        // reflector differ by at most 2 m; these differ by 3 m.
+        let arr = AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0);
+        let rts: [f64; 3] = [8.0, 11.0, 9.0];
+        assert!((rts[0] - rts[1]).abs() > arr.rx[0].position.distance(arr.rx[1].position));
+        let ten = GaussNewtonConfig {
+            max_iterations: 10,
+            ..GaussNewtonConfig::default()
+        };
+        let mean_range = rts.iter().sum::<f64>() / 6.0;
+        let seed = arr.centroid() + arr.tx.boresight * mean_range;
+        assert!(
+            matches!(
+                descend(&arr, &rts, seed, &ten),
+                Err(SolveError::DidNotConverge { .. })
+            ),
+            "the descent must leave the feasible region within 10 iterations"
+        );
+        assert!(matches!(
+            solve_least_squares(&arr, &rts, &GaussNewtonConfig::default()),
+            Err(SolveError::DidNotConverge { .. })
+        ));
+        assert!(matches!(
+            solve_without_feasibility_stop(&arr, &rts, &GaussNewtonConfig::default()),
+            Err(SolveError::DidNotConverge { .. })
+        ));
+    }
+
+    #[test]
+    fn feasible_inputs_solve_bit_identically_to_the_unstopped_solver() {
+        let arrays = [
+            AntennaArray::t_shape(Vec3::new(0.0, 0.0, 1.0), 1.0),
+            TArray::symmetric(Vec3::new(0.0, 0.0, 1.2), 0.8).antenna_array(),
+            AntennaArray::t_shape_extended(Vec3::new(0.0, 0.0, 1.0), 1.0, 3),
+        ];
+        let cfg = GaussNewtonConfig::default();
+        let mut state = 7_u64;
+        let mut solved = 0;
+        for i in 0..3000 {
+            let arr = &arrays[i % arrays.len()];
+            let p = Vec3::new(
+                -4.0 + 8.0 * uniform(&mut state),
+                1.0 + 10.0 * uniform(&mut state),
+                -0.5 + 2.5 * uniform(&mut state),
+            );
+            let mut rts = arr.round_trips(p);
+            for r in &mut rts {
+                *r += 0.1 * (uniform(&mut state) - 0.5);
+            }
+            let got = solve_least_squares(arr, &rts, &cfg);
+            let want = solve_without_feasibility_stop(arr, &rts, &cfg);
+            assert_eq!(got, want, "case {i}: {p} from {rts:?}");
+            solved += usize::from(got.is_ok());
+        }
+        assert!(
+            solved > 2900,
+            "only {solved} of 3000 feasible inputs solved"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! meter-scale gates satisfy by orders of magnitude.
 
 /// A rectangular cost matrix (rows = tracks, columns = detections).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostMatrix {
     rows: usize,
     cols: usize,
@@ -287,6 +287,73 @@ impl AssignmentSolver {
         }
         self.result.total_cost = total;
         &self.result
+    }
+}
+
+/// Association over the gated part of a problem only: rows and columns
+/// without a single feasible pair can never be matched, so they are
+/// dropped before the Hungarian solve instead of padding it. A tracker's
+/// detection budget is several times the number of tracks, and most
+/// detections sit outside every gate; the pruned problem is a small
+/// fraction of the padded one and has the same optimum. A problem with no
+/// feasible pair at all skips the solve. All buffers are reused across
+/// calls.
+#[derive(Debug, Clone, Default)]
+pub struct GatedAssignment {
+    cost: CostMatrix,
+    solver: AssignmentSolver,
+    /// Original row of each pruned row.
+    rows: Vec<usize>,
+    /// Original column of each pruned column.
+    cols: Vec<usize>,
+    /// Matched `(row, col)` pairs of the last solve, in original indices.
+    pairs: Vec<(usize, usize)>,
+}
+
+impl GatedAssignment {
+    /// Creates an empty solver (buffers grow to the first problem's size).
+    pub fn new() -> GatedAssignment {
+        GatedAssignment::default()
+    }
+
+    /// Solves the `n_rows × n_cols` association whose feasible pairs are
+    /// those where `cost(row, col)` is `Some` (the same objective as
+    /// [`AssignmentSolver::solve`]), and returns the matched
+    /// `(row, col)` pairs in ascending row order. The slice is valid until
+    /// the next solve.
+    pub fn solve(
+        &mut self,
+        n_rows: usize,
+        n_cols: usize,
+        cost: impl Fn(usize, usize) -> Option<f64>,
+    ) -> &[(usize, usize)] {
+        self.pairs.clear();
+        self.cols.clear();
+        self.cols
+            .extend((0..n_cols).filter(|&j| (0..n_rows).any(|i| cost(i, j).is_some())));
+        if self.cols.is_empty() {
+            return &self.pairs;
+        }
+        self.rows.clear();
+        self.rows
+            .extend((0..n_rows).filter(|&i| self.cols.iter().any(|&j| cost(i, j).is_some())));
+        self.cost.reset(self.rows.len(), self.cols.len());
+        for (ri, &i) in self.rows.iter().enumerate() {
+            for (ci, &j) in self.cols.iter().enumerate() {
+                if let Some(c) = cost(i, j) {
+                    self.cost.set(ri, ci, c);
+                }
+            }
+        }
+        self.pairs.extend(
+            self.solver
+                .solve(&self.cost)
+                .row_to_col
+                .iter()
+                .enumerate()
+                .filter_map(|(ri, ci)| ci.map(|ci| (self.rows[ri], self.cols[ci]))),
+        );
+        &self.pairs
     }
 }
 

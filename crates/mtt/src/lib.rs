@@ -10,6 +10,7 @@ pub mod track;
 
 pub use assignment::{
     solve_assignment, solve_assignment_greedy, Assignment, AssignmentSolver, CostMatrix,
+    GatedAssignment,
 };
 pub use config::MttConfig;
 pub use pipeline::{MttUpdate, MultiWiTrack, TrackSnapshot};

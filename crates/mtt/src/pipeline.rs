@@ -6,18 +6,15 @@
 //!
 //! 1. **Top-K contours** — each antenna's background-subtracted range
 //!    profile yields up to `max_targets` contour detections
-//!    ([`witrack_fmcw::ContourTracker::detect_top_k`]) instead of one.
-//!    On frame-completing sweeps this per-antenna stage fans out across
-//!    scoped threads (multi-core hosts only), and its buffers — profile,
-//!    transform scratch, baseline, magnitudes, detections, association cost
-//!    matrix and solver scratch — are reused across frames: the
-//!    profile→background path performs no steady-state heap allocation
-//!    (the noise-floor order statistics inside contour detection and the
-//!    track bookkeeping still make small per-frame allocations).
+//!    ([`witrack_fmcw::ContourTracker::detect_top_k_into`]) instead of one.
+//!    The antennas run one after another on the caller's thread (a
+//!    serving host's parallelism is its shards).
 //! 2. **Gated per-antenna association** — live tracks predict their
 //!    per-antenna round trips; a Hungarian assignment
-//!    ([`crate::assignment`]) matches detections to tracks within
-//!    `gate_round_trip_m`.
+//!    ([`crate::assignment::GatedAssignment`]) matches detections to tracks
+//!    within `gate_round_trip_m`, solved over only the detections inside
+//!    some track's gate and the tracks with one, so its size follows the
+//!    scene rather than the detection budget.
 //! 3. **Per-track 3D solve + Kalman** — a track whose every antenna found a
 //!    detection gets a least-squares 3D fix, smoothed by the per-axis
 //!    constant-velocity filters in [`crate::track`].
@@ -32,16 +29,20 @@
 //!    radial crossing, where two bodies share one contour) don't kill a
 //!    track.
 //!
+//! Every buffer — profiles, baselines, detections, association and
+//! initiation scratch — is reused across frames, so after warm-up a frame
+//! allocates only the two vectors of the [`MttUpdate`] it returns.
+//!
 //! Remaining §10 limitations this subsystem inherits: a person who stops
 //! moving vanishes from the background-subtracted stream (their track
 //! coasts, then drops), and targets closer than about a range bin in round
 //! trip on every antenna are one detection until they separate.
 
-use crate::assignment::{AssignmentSolver, CostMatrix};
+use crate::assignment::GatedAssignment;
 use crate::config::MttConfig;
 use crate::track::{MttTrack, TrackId, TrackPhase};
 use witrack_core::frame_pipeline::{FramePipeline, FrameReport, TargetReport};
-use witrack_core::pipeline::{antenna_parallelism, BuildError};
+use witrack_core::pipeline::BuildError;
 use witrack_dsp::window::WindowKind;
 use witrack_fmcw::contour::Detection;
 use witrack_fmcw::{BackgroundSubtractor, ContourTracker, RangeProfiler, Sweep};
@@ -113,17 +114,12 @@ pub struct MultiWiTrack {
     backgrounds: Vec<BackgroundSubtractor>,
     /// Per-antenna detection buffers, reused across frames.
     detections: Vec<Vec<Detection>>,
-    /// One tracker per antenna: detection owns a per-call noise-floor
-    /// scratch (`&mut self`), so each antenna thread needs its own.
-    contours: Vec<ContourTracker>,
-    /// Fan per-antenna frame work out across threads (multi-core hosts
-    /// only; see [`antenna_parallelism`]).
-    parallel: bool,
+    /// Contour detection for every antenna (its only state is the
+    /// noise-floor scratch).
+    contour: ContourTracker,
     gn: GaussNewtonConfig,
-    /// Association cost matrix, reused across frames.
-    cost: CostMatrix,
-    /// Association solver scratch, reused across frames.
-    solver: AssignmentSolver,
+    /// Association and initiation scratch, reused across frames.
+    scratch: FrameScratch,
     tracks: Vec<MttTrack>,
     next_id: u64,
     frame_index: u64,
@@ -156,13 +152,9 @@ impl MultiWiTrack {
                 .collect(),
             backgrounds: (0..n_rx).map(|_| BackgroundSubtractor::new()).collect(),
             detections: (0..n_rx).map(|_| Vec::new()).collect(),
-            contours: (0..n_rx)
-                .map(|_| ContourTracker::new(cfg.base.sweep, cfg.base.contour))
-                .collect(),
-            parallel: antenna_parallelism(n_rx),
+            contour: ContourTracker::new(cfg.base.sweep, cfg.base.contour),
             gn: GaussNewtonConfig::default(),
-            cost: CostMatrix::new(0, 0),
-            solver: AssignmentSolver::new(),
+            scratch: FrameScratch::default(),
             tracks: Vec::new(),
             next_id: 0,
             frame_index: 0,
@@ -259,13 +251,12 @@ impl MultiWiTrack {
         )
     }
 
-    fn push_sweeps_inner<'a, I>(&mut self, per_rx: I) -> Option<MttUpdate>
-    where
-        I: DoubleEndedIterator<Item = Sweep<'a>> + ExactSizeIterator,
-    {
+    fn push_sweeps_inner<'a>(
+        &mut self,
+        per_rx: impl Iterator<Item = Sweep<'a>>,
+    ) -> Option<MttUpdate> {
         self.sweeps_seen += 1;
-        // All profilers share the sweep clock; accumulate-only sweeps are
-        // microseconds of serial work.
+        // All profilers share the sweep clock.
         let completes = self
             .profilers
             .first()
@@ -280,23 +271,21 @@ impl MultiWiTrack {
         }
 
         // Frame-completing sweep: the per-antenna profile → background →
-        // top-K contour stage, fanned out with scoped threads on
-        // multi-core hosts. Each thread gets disjoint &mut state
-        // (including its own contour tracker); the tuning is shared
-        // read-only.
+        // top-K contour stage.
         let budget = self.cfg.detection_budget();
         let min_sep = self.cfg.min_peak_separation_bins;
-        let stats = &self.stats;
-        let stage = |prof: &mut RangeProfiler,
-                     bg: &mut BackgroundSubtractor,
-                     contour: &mut ContourTracker,
-                     dets: &mut Vec<Detection>,
-                     sweep: Sweep<'a>| {
-            let profile_start = stats.as_ref().map(|_| std::time::Instant::now());
+        let stages = self
+            .profilers
+            .iter_mut()
+            .zip(self.backgrounds.iter_mut())
+            .zip(self.detections.iter_mut())
+            .zip(per_rx);
+        for (((prof, bg), dets), sweep) in stages {
+            let profile_start = self.stats.as_ref().map(|_| std::time::Instant::now());
             let profile = prof.push(sweep).expect("frame-completing sweep");
             let detect_start = profile_start.map(|start| {
                 let now = std::time::Instant::now();
-                stats
+                self.stats
                     .as_ref()
                     .expect("timed only when attached")
                     .profile
@@ -305,48 +294,23 @@ impl MultiWiTrack {
             });
             match bg.push(profile) {
                 None => dets.clear(),
-                Some(mags) => contour.detect_top_k_into(mags, budget, min_sep, dets),
+                Some(mags) => self.contour.detect_top_k_into(mags, budget, min_sep, dets),
             }
-            if let (Some(st), Some(start)) = (stats.as_ref(), detect_start) {
+            if let (Some(st), Some(start)) = (self.stats.as_ref(), detect_start) {
                 st.detect.record_since(start);
-            }
-        };
-        let stages = self
-            .profilers
-            .iter_mut()
-            .zip(self.backgrounds.iter_mut())
-            .zip(self.contours.iter_mut())
-            .zip(self.detections.iter_mut())
-            .zip(per_rx);
-        if self.parallel {
-            let stage = &stage;
-            std::thread::scope(|s| {
-                // The caller's thread takes the last antenna itself instead
-                // of blocking at the scope barrier — one fewer spawn.
-                let mut stages = stages;
-                let last = stages.next_back();
-                for ((((prof, bg), contour), dets), sweep) in stages {
-                    s.spawn(move || stage(prof, bg, contour, dets, sweep));
-                }
-                if let Some(((((prof, bg), contour), dets), sweep)) = last {
-                    stage(prof, bg, contour, dets, sweep);
-                }
-            });
-        } else {
-            for ((((prof, bg), contour), dets), sweep) in stages {
-                stage(prof, bg, contour, dets, sweep);
             }
         }
 
         let dt = self.cfg.base.sweep.frame_duration_s();
         let time_s = self.sweeps_seen as f64 * self.cfg.base.sweep.sweep_duration_s;
 
-        // Take the detection buffers so &mut self methods can run; the
-        // buffers (and their capacity) are returned afterwards.
+        // Take the detection buffers and scratch so &mut self methods can
+        // run; both (and their capacity) are returned afterwards.
         let detections = std::mem::take(&mut self.detections);
+        let mut scratch = std::mem::take(&mut self.scratch);
         let associate_start = self.stats.as_ref().map(|_| std::time::Instant::now());
-        let claimed = self.associate_and_update(&detections, dt);
-        self.initiate_tracks(&detections, &claimed);
+        self.associate_and_update(&detections, dt, &mut scratch);
+        self.initiate_tracks(&detections, &mut scratch);
         self.tracks.retain(|t| !t.is_dead());
         if let (Some(st), Some(start)) = (self.stats.as_ref(), associate_start) {
             st.associate.record_since(start);
@@ -372,29 +336,39 @@ impl MultiWiTrack {
                 .collect(),
         };
         self.detections = detections;
+        self.scratch = scratch;
         self.frame_index += 1;
         Some(update)
     }
 
     /// Stage 2 + 3: per-antenna gated Hungarian association, then a 3D
-    /// solve + Kalman update for every fully-matched track. Returns the
-    /// per-antenna claimed-detection masks.
+    /// solve + Kalman update for every fully-matched track. Leaves the
+    /// per-antenna claimed-detection masks in `s.claimed`.
     ///
     /// Runs in two passes — established tracks first, tentative tracks on
     /// the leftovers — so a freshly-spawned ghost can never outbid a
     /// confirmed track for its own detections.
-    fn associate_and_update(&mut self, detections: &[Vec<Detection>], dt: f64) -> Vec<Vec<bool>> {
-        let mut claimed: Vec<Vec<bool>> = detections.iter().map(|d| vec![false; d.len()]).collect();
-        let established: Vec<usize> = (0..self.tracks.len())
-            .filter(|&i| self.tracks[i].is_established())
-            .collect();
-        let tentative: Vec<usize> = (0..self.tracks.len())
-            .filter(|&i| !self.tracks[i].is_established())
-            .collect();
-        for pass in [established, tentative] {
-            self.associate_pass(&pass, detections, dt, &mut claimed);
+    fn associate_and_update(
+        &mut self,
+        detections: &[Vec<Detection>],
+        dt: f64,
+        s: &mut FrameScratch,
+    ) {
+        s.claimed.resize_with(detections.len(), Vec::new);
+        for (mask, dets) in s.claimed.iter_mut().zip(detections) {
+            mask.clear();
+            mask.resize(dets.len(), false);
         }
-        claimed
+        // Both passes are fixed before either runs: a track the first pass
+        // kills must not join the second.
+        let mut pass = std::mem::take(&mut s.pass);
+        pass.clear();
+        pass.extend((0..self.tracks.len()).filter(|&i| self.tracks[i].is_established()));
+        let established = pass.len();
+        pass.extend((0..self.tracks.len()).filter(|&i| !self.tracks[i].is_established()));
+        self.associate_pass(&pass[..established], detections, dt, s);
+        self.associate_pass(&pass[established..], detections, dt, s);
+        s.pass = pass;
     }
 
     /// Associates the detections not yet claimed to the tracks in `pass`,
@@ -404,52 +378,47 @@ impl MultiWiTrack {
         pass: &[usize],
         detections: &[Vec<Detection>],
         dt: f64,
-        claimed: &mut [Vec<bool>],
+        s: &mut FrameScratch,
     ) {
         if pass.is_empty() {
             return;
         }
         let n_rx = detections.len();
-        let predicted: Vec<Vec3> = pass
-            .iter()
-            .map(|&t| self.tracks[t].predicted_position(dt))
-            .collect();
+        s.predicted.clear();
+        s.predicted
+            .extend(pass.iter().map(|&t| self.tracks[t].predicted_position(dt)));
 
-        // assigned[p][k] = round trip matched to pass-track p on antenna k.
-        let mut assigned: Vec<Vec<Option<f64>>> = vec![vec![None; n_rx]; pass.len()];
-        for k in 0..n_rx {
-            let available: Vec<usize> = (0..detections[k].len())
-                .filter(|&d| !claimed[k][d])
-                .collect();
-            self.cost.reset(pass.len(), available.len());
-            for (pi, pred) in predicted.iter().enumerate() {
-                let pred_rt = self.array.round_trip(*pred, k);
-                for (ci, &di) in available.iter().enumerate() {
-                    let err = (detections[k][di].round_trip_m - pred_rt).abs();
-                    if err < self.cfg.gate_round_trip_m {
-                        self.cost.set(pi, ci, err);
-                    }
-                }
-            }
-            let assignment = self.solver.solve(&self.cost);
-            for (pi, ci) in assignment.row_to_col.iter().enumerate() {
-                if let Some(ci) = *ci {
-                    let di = available[ci];
-                    assigned[pi][k] = Some(detections[k][di].round_trip_m);
-                    claimed[k][di] = true;
-                }
+        // assigned[p · n_rx + k] = round trip matched to pass-track p on
+        // antenna k.
+        s.assigned.clear();
+        s.assigned.resize(pass.len() * n_rx, None);
+        let gate = self.cfg.gate_round_trip_m;
+        for (k, (dets, claimed)) in detections.iter().zip(&mut s.claimed).enumerate() {
+            s.available.clear();
+            s.available.extend((0..dets.len()).filter(|&d| !claimed[d]));
+            s.pred_rt.clear();
+            s.pred_rt
+                .extend(s.predicted.iter().map(|p| self.array.round_trip(*p, k)));
+            let (available, pred_rt) = (&s.available, &s.pred_rt);
+            let pairs = s.assoc.solve(pass.len(), available.len(), |pi, ci| {
+                let err = (dets[available[ci]].round_trip_m - pred_rt[pi]).abs();
+                (err < gate).then_some(err)
+            });
+            for &(pi, ci) in pairs {
+                let di = available[ci];
+                s.assigned[pi * n_rx + k] = Some(dets[di].round_trip_m);
+                claimed[di] = true;
             }
         }
 
-        for (pi, rts) in assigned.iter().enumerate() {
-            let ti = pass[pi];
-            let full: Option<Vec<f64>> = rts.iter().copied().collect();
-            let measured = full
-                .and_then(|rts| {
-                    solve_least_squares(&self.array, &rts, &self.gn)
-                        .ok()
-                        .map(|s| s.position)
-                })
+        for (pi, &ti) in pass.iter().enumerate() {
+            s.rts.clear();
+            s.rts
+                .extend(s.assigned[pi * n_rx..][..n_rx].iter().flatten());
+            let measured = (s.rts.len() == n_rx)
+                .then(|| solve_least_squares(&self.array, &s.rts, &self.gn).ok())
+                .flatten()
+                .map(|solved| solved.position)
                 // A "measurement" outside the deployment envelope is a
                 // multipath artifact, not a person — coast instead of
                 // letting it drag the track out of the room.
@@ -468,44 +437,45 @@ impl MultiWiTrack {
     /// across antennas by at most the antenna-separation geometry allows,
     /// so nearest-rt matching recovers the per-person tuple even when the
     /// antennas saw different subsets of bounces).
-    fn initiate_tracks(&mut self, detections: &[Vec<Detection>], claimed: &[Vec<bool>]) {
-        // Unclaimed detections per antenna, already nearest-first.
-        let unclaimed: Vec<Vec<&Detection>> = detections
-            .iter()
-            .zip(claimed)
-            .map(|(dets, mask)| {
+    fn initiate_tracks(&mut self, detections: &[Vec<Detection>], s: &mut FrameScratch) {
+        // Unclaimed round trips per antenna, already nearest-first.
+        s.unclaimed.resize_with(detections.len(), Vec::new);
+        for ((free, dets), mask) in s.unclaimed.iter_mut().zip(detections).zip(&s.claimed) {
+            free.clear();
+            free.extend(
                 dets.iter()
                     .zip(mask)
                     .filter(|(_, &c)| !c)
-                    .map(|(d, _)| d)
-                    .collect()
-            })
-            .collect();
-        if unclaimed.iter().any(|u| u.is_empty()) {
+                    .map(|(d, _)| d.round_trip_m),
+            );
+        }
+        if s.unclaimed.iter().any(|u| u.is_empty()) {
             return;
         }
         let max_spread = 2.0 * self.cfg.base.antenna_separation + 0.5;
-        let mut born: Vec<Vec3> = Vec::new();
-        for anchor in &unclaimed[0] {
-            let mut rts = vec![anchor.round_trip_m];
-            for other in &unclaimed[1..] {
+        s.born.clear();
+        let (anchors, others) = s.unclaimed.split_first().expect("at least one antenna");
+        for &anchor in anchors {
+            s.rts.clear();
+            s.rts.push(anchor);
+            for other in others {
                 let nearest = other
                     .iter()
-                    .map(|d| d.round_trip_m)
+                    .copied()
                     .min_by(|a, b| {
-                        let da = (a - anchor.round_trip_m).abs();
-                        let db = (b - anchor.round_trip_m).abs();
+                        let da = (a - anchor).abs();
+                        let db = (b - anchor).abs();
                         da.total_cmp(&db) // NaN sorts last: never picked over a real range
                     })
                     .expect("non-empty checked above");
-                rts.push(nearest);
+                s.rts.push(nearest);
             }
-            let spread = rts.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-                - rts.iter().cloned().fold(f64::INFINITY, f64::min);
+            let spread = s.rts.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+                - s.rts.iter().cloned().fold(f64::INFINITY, f64::min);
             if spread > max_spread {
                 continue;
             }
-            let Ok(solved) = solve_least_squares(&self.array, &rts, &self.gn) else {
+            let Ok(solved) = solve_least_squares(&self.array, &s.rts, &self.gn) else {
                 continue;
             };
             // For over-constrained arrays the residual exposes mismatched
@@ -521,7 +491,7 @@ impl MultiWiTrack {
                 .tracks
                 .iter()
                 .map(|t| t.position())
-                .chain(born.iter().copied())
+                .chain(s.born.iter().copied())
                 .any(|q| q.distance(p) < self.cfg.min_new_track_separation_m);
             if too_close {
                 continue;
@@ -529,7 +499,7 @@ impl MultiWiTrack {
             let id = TrackId(self.next_id);
             self.next_id += 1;
             self.tracks.push(MttTrack::new(id, p, &self.cfg));
-            born.push(p);
+            s.born.push(p);
         }
     }
 
@@ -549,6 +519,31 @@ impl MultiWiTrack {
         self.sweeps_seen = 0;
         // Track ids keep counting up: a reset mid-run must not recycle ids.
     }
+}
+
+/// Per-frame association and initiation working memory, reused across
+/// frames.
+#[derive(Debug, Default)]
+struct FrameScratch {
+    /// Per-antenna masks of detections a track claimed this frame.
+    claimed: Vec<Vec<bool>>,
+    /// Track indices of both association passes, established first.
+    pass: Vec<usize>,
+    /// Predicted positions of the pass's tracks.
+    predicted: Vec<Vec3>,
+    /// Predicted round trips of the pass's tracks on one antenna.
+    pred_rt: Vec<f64>,
+    /// One antenna's unclaimed detections (indices).
+    available: Vec<usize>,
+    /// Matched round trip per (pass track, antenna).
+    assigned: Vec<Option<f64>>,
+    assoc: GatedAssignment,
+    /// Per-antenna unclaimed round trips after association.
+    unclaimed: Vec<Vec<f64>>,
+    /// Positions of tracks born this frame.
+    born: Vec<Vec3>,
+    /// One round-trip tuple for a solve.
+    rts: Vec<f64>,
 }
 
 impl From<MttUpdate> for FrameReport {
