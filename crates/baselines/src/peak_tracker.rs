@@ -7,78 +7,33 @@
 //! return, with the same profiling, background subtraction, and denoising
 //! stack, so any accuracy gap is attributable to the detection rule alone.
 
-use witrack_dsp::window::WindowKind;
-use witrack_fmcw::background::BackgroundSubtractor;
-use witrack_fmcw::contour::{ContourConfig, ContourTracker, Detection};
-use witrack_fmcw::denoise::{DenoiseConfig, DistanceDenoiser};
-use witrack_fmcw::profile::RangeProfiler;
-use witrack_fmcw::{SweepConfig, TofFrame};
+use witrack_fmcw::{ContourTracker, SweepConfig, TofEstimator, TofFrame};
 
-/// Per-antenna TOF estimation that locks onto the strongest return.
-#[derive(Debug, Clone)]
-pub struct StrongestReturnTracker {
-    cfg: SweepConfig,
-    profiler: RangeProfiler,
-    background: BackgroundSubtractor,
-    contour: ContourTracker,
-    denoiser: DistanceDenoiser,
-    frame_index: u64,
-    sweeps_seen: u64,
-}
+/// Per-antenna TOF estimation that locks onto the strongest return: a
+/// [`TofEstimator`] whose detection rule is
+/// [`ContourTracker::detect_strongest`], with tuning identical to the
+/// WiTrack defaults so the comparison isolates the detection rule.
+pub struct StrongestReturnTracker(TofEstimator);
 
 impl StrongestReturnTracker {
-    /// Creates the tracker with tuning identical to the WiTrack defaults so
-    /// the comparison isolates the detection rule.
+    /// Creates the tracker, keeping range bins up to `max_round_trip_m`.
     pub fn new(cfg: SweepConfig, max_round_trip_m: f64) -> StrongestReturnTracker {
-        StrongestReturnTracker {
+        StrongestReturnTracker(TofEstimator::with_rule(
             cfg,
-            profiler: RangeProfiler::new(&cfg, WindowKind::Hann, max_round_trip_m),
-            background: BackgroundSubtractor::new(),
-            contour: ContourTracker::new(cfg, ContourConfig::default()),
-            denoiser: DistanceDenoiser::new(DenoiseConfig::default()),
-            frame_index: 0,
-            sweeps_seen: 0,
-        }
+            max_round_trip_m,
+            ContourTracker::detect_strongest,
+        ))
     }
 
     /// Pushes one sweep; emits a frame on frame boundaries, exactly like
-    /// `witrack_fmcw::TofEstimator` but using the strongest-return rule.
+    /// [`TofEstimator::push_sweep`] but using the strongest-return rule.
     pub fn push_sweep(&mut self, samples: &[f64]) -> Option<TofFrame> {
-        self.sweeps_seen += 1;
-        let profile = self.profiler.push_sweep(samples)?;
-        let dt = self.cfg.frame_duration_s();
-        let time_s = self.sweeps_seen as f64 * self.cfg.sweep_duration_s;
-        let frame = match self.background.push(profile) {
-            None => TofFrame {
-                frame_index: self.frame_index,
-                time_s,
-                magnitudes: Vec::new(),
-                detection: None,
-                denoised: None,
-            },
-            Some(mags) => {
-                let detection: Option<Detection> = self.contour.detect_strongest(mags);
-                let denoised = self.denoiser.push(detection.map(|d| d.round_trip_m), dt);
-                TofFrame {
-                    frame_index: self.frame_index,
-                    time_s,
-                    magnitudes: mags.to_vec(),
-                    detection,
-                    denoised,
-                }
-            }
-        };
-        self.frame_index += 1;
-        Some(frame)
+        self.0.push_sweep(samples)
     }
 
     /// Clears stream state.
     pub fn reset(&mut self) {
-        self.profiler.reset();
-        self.background.reset();
-        self.denoiser.reset();
-        self.frame_index = 0;
-        self.sweeps_seen = 0;
+        self.0.reset();
     }
 }
 
@@ -86,7 +41,6 @@ impl StrongestReturnTracker {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
-    use witrack_fmcw::TofEstimator;
 
     fn small_cfg() -> SweepConfig {
         SweepConfig {

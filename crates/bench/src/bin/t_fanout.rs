@@ -30,6 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use witrack_bench::printing::banner;
 use witrack_core::{FramePipeline, FrameReport, TargetReport};
+use witrack_fmcw::Sweep;
 use witrack_fuse::{FuseConfig, Registration, Zone};
 use witrack_geom::{RigidTransform, Vec3};
 use witrack_obs::{HistoSnapshot, MetricSample, MetricValue};
@@ -121,7 +122,7 @@ impl FramePipeline for CorridorStub {
         1
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps(&mut self, _sweeps: Sweep<'_>) -> Option<FrameReport> {
         let i = self.frame;
         self.frame += 1;
         let period = 2 * ZONES as u64;

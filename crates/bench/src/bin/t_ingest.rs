@@ -23,6 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use witrack_bench::printing::banner;
 use witrack_core::{FramePipeline, FrameReport, WiTrackConfig};
+use witrack_fmcw::Sweep;
 use witrack_serve::engine::{EngineConfig, EngineHandle, OverloadPolicy, ShardedEngine};
 use witrack_serve::pool::{BatchSamples, PooledBatch};
 use witrack_serve::wire::{
@@ -41,12 +42,8 @@ impl FramePipeline for NullPipeline {
         self.n_rx
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
-        None
-    }
-
-    fn process_sweeps_flat(&mut self, flat: &[f64], samples: usize) -> Option<FrameReport> {
-        debug_assert_eq!(flat.len(), samples * self.n_rx);
+    fn process_sweeps(&mut self, sweeps: Sweep<'_>) -> Option<FrameReport> {
+        debug_assert_eq!(sweeps.len() % self.n_rx, 0);
         None
     }
 

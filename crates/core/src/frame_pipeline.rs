@@ -1,21 +1,21 @@
 //! Backend-agnostic streaming interface over the frame pipelines.
 //!
-//! [`WiTrack`] and `witrack_mtt::MultiWiTrack` share the
-//! same streaming shape — one baseband sweep per receive antenna per sweep
-//! interval in, one output per frame out — but emit different update types
-//! (one optional position vs N track snapshots). The serving layer
-//! (`witrack-serve`) multiplexes many sensors over worker shards and must
-//! not care which backend a sensor runs, so this module extracts the shared
-//! shape as the [`FramePipeline`] trait and a lowest-common-denominator
-//! per-frame [`FrameReport`].
+//! [`WiTrack`] and `witrack_mtt::MultiWiTrack` run the same per-antenna
+//! front end (`witrack_fmcw::FrontEnd`) — one baseband sweep per receive
+//! antenna per sweep interval in, one output per frame out — but emit
+//! different update types (one optional position vs N track snapshots).
+//! The serving layer (`witrack-serve`) multiplexes many sensors over
+//! worker shards and must not care which backend a sensor runs, so this
+//! module extracts the shared shape as the [`FramePipeline`] trait and a
+//! lowest-common-denominator per-frame [`FrameReport`].
 //!
-//! The trait deliberately returns owned reports rather than borrowed
-//! frames: a shard forwards reports across threads and batches them into
-//! wire messages, so the borrow-heavy single-pipeline API
-//! ([`WiTrack::push_sweeps`] keeps its richer
-//! [`TrackUpdate`]) is not usable there.
+//! The trait has one input method: a sweep interval's antenna-contiguous
+//! samples, in either form the wire delivers ([`Sweep`]: `f64`, or `i16`
+//! plus a scale). It returns owned reports: a shard forwards them across
+//! threads and batches them into wire messages.
 
 use crate::pipeline::{TrackUpdate, WiTrack};
+use witrack_fmcw::Sweep;
 use witrack_geom::Vec3;
 
 /// One tracked target inside a [`FrameReport`].
@@ -62,59 +62,18 @@ pub struct FrameReport {
 /// `Send` is a supertrait because implementations are owned by worker
 /// shards and moved across threads at session setup.
 pub trait FramePipeline: Send {
-    /// Number of receive antennas (one sweep slice expected per antenna).
+    /// Number of receive antennas (one sweep expected per antenna).
     fn num_rx(&self) -> usize;
 
-    /// Pushes one sweep interval's baseband, one slice per receive
-    /// antenna; returns a report on frame boundaries.
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport>;
-
-    /// [`Self::process_sweeps`] over one flat, antenna-contiguous buffer:
-    /// antenna `k`'s sweep occupies
-    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]` — the exact
-    /// layout wire sweep batches arrive in, so the serving hot path feeds
-    /// pipelines without building per-sweep slice tables. The default
-    /// builds the table and delegates; the in-tree backends override it
-    /// allocation-free.
+    /// Pushes one sweep interval's baseband, antenna-contiguous: antenna
+    /// `k`'s sweep occupies `[k * samples_per_sweep ..][.. samples_per_sweep]`
+    /// — the layout wire sweep batches arrive in. Returns a report on frame
+    /// boundaries.
     ///
     /// # Panics
-    /// Panics if `flat.len() != samples_per_sweep * num_rx()` or
-    /// `samples_per_sweep` is zero.
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.num_rx(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        let refs: Vec<&[f64]> = flat.chunks_exact(samples_per_sweep).collect();
-        self.process_sweeps(&refs)
-    }
-
-    /// [`Self::process_sweeps_flat`] over **wire-quantized** samples
-    /// (`sample = q · scale`), the form `SweepBatchQ` batches arrive in.
-    /// The default dequantizes into a temporary and delegates, so every
-    /// backend accepts quantized input; the in-tree backends override it
-    /// to keep the profile front half in fixed point (i16 windowing, i32
-    /// accumulation — see `witrack_fmcw::RangeProfiler::push_sweep_q`),
-    /// skipping both the dequantization pass and the float accumulate.
-    ///
-    /// # Panics
-    /// Panics if `flat.len() != samples_per_sweep * num_rx()` or
-    /// `samples_per_sweep` is zero.
-    fn process_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples_per_sweep: usize,
-        scale: f64,
-    ) -> Option<FrameReport> {
-        let dequantized: Vec<f64> = flat.iter().map(|&q| q as f64 * scale).collect();
-        self.process_sweeps_flat(&dequantized, samples_per_sweep)
-    }
+    /// Panics if `sweeps` does not hold exactly one sweep per receive
+    /// antenna.
+    fn process_sweeps(&mut self, sweeps: Sweep<'_>) -> Option<FrameReport>;
 
     /// Clears all stream state (frame counter restarts at zero).
     fn reset(&mut self);
@@ -130,18 +89,19 @@ pub trait FramePipeline: Send {
     }
 }
 
-impl From<TrackUpdate> for FrameReport {
-    fn from(u: TrackUpdate) -> FrameReport {
+impl FrameReport {
+    /// The single-target report: one untracked target when a position was
+    /// solved, none otherwise.
+    fn single(frame_index: u64, time_s: f64, position: Option<Vec3>, held: bool) -> FrameReport {
         FrameReport {
-            frame_index: u.frame_index,
-            time_s: u.time_s,
-            targets: u
-                .position
-                .map(|p| TargetReport {
+            frame_index,
+            time_s,
+            targets: position
+                .map(|position| TargetReport {
                     id: None,
-                    position: p,
+                    position,
                     velocity: None,
-                    held: u.held,
+                    held,
                     pos_var: None,
                     innovation: None,
                 })
@@ -151,32 +111,26 @@ impl From<TrackUpdate> for FrameReport {
     }
 }
 
+impl From<TrackUpdate> for FrameReport {
+    fn from(u: TrackUpdate) -> FrameReport {
+        FrameReport::single(u.frame_index, u.time_s, u.position, u.held)
+    }
+}
+
 impl FramePipeline for WiTrack {
     fn num_rx(&self) -> usize {
         self.array().num_rx()
     }
 
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.push_sweeps(per_rx).map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        self.push_sweeps_flat(flat, samples_per_sweep)
-            .map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples_per_sweep: usize,
-        scale: f64,
-    ) -> Option<FrameReport> {
-        self.push_sweeps_flat_q(flat, samples_per_sweep, scale)
-            .map(FrameReport::from)
+    fn process_sweeps(&mut self, sweeps: Sweep<'_>) -> Option<FrameReport> {
+        let per_rx = sweeps.chunks(self.config().sweep.samples_per_sweep());
+        let (clock, position, held) = self.step(per_rx, |_| {})?;
+        Some(FrameReport::single(
+            clock.frame_index,
+            clock.time_s,
+            position,
+            held,
+        ))
     }
 
     fn reset(&mut self) {
@@ -215,10 +169,10 @@ mod tests {
         let mut wt = WiTrack::new(cfg).unwrap();
         let pipeline: &mut dyn FramePipeline = &mut wt;
         assert_eq!(pipeline.num_rx(), 3);
-        let silent = vec![0.0; cfg.sweep.samples_per_sweep()];
+        let silent = vec![0.0; 3 * cfg.sweep.samples_per_sweep()];
         let mut reports = 0;
         for _ in 0..cfg.sweep.sweeps_per_frame * 3 {
-            if let Some(r) = pipeline.process_sweeps(&[&silent, &silent, &silent]) {
+            if let Some(r) = pipeline.process_sweeps(Sweep::F64(&silent)) {
                 // Nothing moving: a report with no targets, not no report.
                 assert!(r.targets.is_empty());
                 reports += 1;
@@ -228,7 +182,7 @@ mod tests {
         pipeline.reset();
         let mut first = None;
         for _ in 0..cfg.sweep.sweeps_per_frame {
-            first = pipeline.process_sweeps(&[&silent, &silent, &silent]);
+            first = pipeline.process_sweeps(Sweep::F64(&silent));
         }
         assert_eq!(first.unwrap().frame_index, 0);
     }

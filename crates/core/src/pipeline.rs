@@ -1,20 +1,23 @@
 //! The end-to-end WiTrack pipeline: sweeps in, 3D positions out.
 //!
-//! One [`WiTrack`] owns a per-antenna §4 TOF estimator for each receive
-//! antenna and the §5 geometric solver. Feed it one sweep per antenna per
-//! sweep interval; every `sweeps_per_frame` sweeps it emits a
-//! [`TrackUpdate`] carrying the per-antenna round trips, the solved 3D
-//! position, and the per-antenna spectral features the §6 applications
-//! consume.
+//! One [`WiTrack`] runs the shared per-antenna [`FrontEnd`] (§4.1 range
+//! profiles, §4.2 background subtraction), follows it on every antenna with
+//! the §4.3 bottom contour and the §4.4 denoiser, and solves the §5
+//! geometry. Feed it one sweep per antenna per sweep interval; every
+//! `sweeps_per_frame` sweeps it emits a frame.
 //!
-//! The per-antenna stages run one after another on the caller's thread. A
-//! serving host gets its parallelism from shards (one thread per shard,
-//! many sensors each), so a frame never spawns threads; the antennas'
-//! band transforms share one per-thread working buffer (see
-//! [`witrack_fmcw::RangeProfiler`]) that stays cache-resident across them.
+//! Two outputs share that step. [`WiTrack::push_sweeps`] returns a
+//! [`TrackUpdate`] carrying the per-antenna round trips and spectral frames
+//! the §6 applications consume. The serving path
+//! ([`crate::FramePipeline::process_sweeps`]) builds its report straight
+//! from the solve, so after warm-up a served frame allocates only the
+//! report's target list.
 
 use crate::config::{SolverChoice, WiTrackConfig};
-use witrack_fmcw::{Sweep, TofEstimator, TofFrame};
+use witrack_fmcw::{
+    ContourTracker, DenoisedDistance, Detection, DistanceDenoiser, FrameClock, FrontEnd, Sweep,
+    TofFrame,
+};
 use witrack_geom::multilateration::{solve_least_squares, GaussNewtonConfig};
 use witrack_geom::{AntennaArray, TArray, Vec3};
 
@@ -58,20 +61,26 @@ pub const MAX_RX: usize = 16;
 /// interpolates.
 const RECENT_LIVE: usize = 5;
 
-/// The WiTrack system: N per-antenna TOF estimators + the 3D solver.
+/// The WiTrack system: the per-antenna front end, contour and denoisers,
+/// and the 3D solver.
 pub struct WiTrack {
     cfg: WiTrackConfig,
     array: AntennaArray,
     tarray: Option<TArray>,
-    estimators: Vec<TofEstimator>,
+    front: FrontEnd,
+    /// Bottom-contour detection for every antenna (its only state is the
+    /// noise-floor scratch).
+    contour: ContourTracker,
+    denoisers: Vec<DistanceDenoiser>,
+    /// The latest frame's per-antenna contour detection and denoised
+    /// round trip.
+    antennas: Vec<(Option<Detection>, Option<DenoisedDistance>)>,
     gn: GaussNewtonConfig,
     /// Recent positions solved from all-live (non-held) round trips. While
     /// any antenna interpolates, the component-wise median of these is
     /// reported — a single last solve would freeze one frame's noise into
     /// the whole still period.
     recent_live: std::collections::VecDeque<Vec3>,
-    /// Per-stage latency histograms, when the owner attached them.
-    stats: Option<witrack_obs::StageStats>,
 }
 
 /// Construction errors.
@@ -107,16 +116,7 @@ impl WiTrack {
     pub fn new(cfg: WiTrackConfig) -> Result<WiTrack, BuildError> {
         cfg.sweep.validate().map_err(BuildError::BadSweep)?;
         let tarray = TArray::symmetric(cfg.array_origin, cfg.antenna_separation);
-        let array = tarray.antenna_array();
-        Ok(WiTrack {
-            estimators: Self::make_estimators(&cfg, array.num_rx()),
-            tarray: Some(tarray),
-            array,
-            gn: GaussNewtonConfig::default(),
-            cfg,
-            recent_live: std::collections::VecDeque::new(),
-            stats: None,
-        })
+        Ok(WiTrack::build(cfg, tarray.antenna_array(), Some(tarray)))
     }
 
     /// Builds the pipeline around an arbitrary antenna array (e.g. the §5
@@ -130,23 +130,22 @@ impl WiTrack {
         if array.num_rx() > MAX_RX {
             return Err(BuildError::TooManyReceivers(array.num_rx()));
         }
-        Ok(WiTrack {
-            estimators: Self::make_estimators(&cfg, array.num_rx()),
-            tarray: None,
+        Ok(WiTrack::build(cfg, array, None))
+    }
+
+    fn build(cfg: WiTrackConfig, array: AntennaArray, tarray: Option<TArray>) -> WiTrack {
+        let n = array.num_rx();
+        WiTrack {
+            front: FrontEnd::new(cfg.sweep, cfg.max_round_trip_m, n),
+            contour: ContourTracker::new(cfg.sweep, cfg.contour),
+            denoisers: (0..n).map(|_| DistanceDenoiser::new(cfg.denoise)).collect(),
+            antennas: vec![(None, None); n],
+            tarray,
             array,
             gn: GaussNewtonConfig::default(),
             cfg,
             recent_live: std::collections::VecDeque::new(),
-            stats: None,
-        })
-    }
-
-    fn make_estimators(cfg: &WiTrackConfig, n: usize) -> Vec<TofEstimator> {
-        (0..n)
-            .map(|_| {
-                TofEstimator::with_tuning(cfg.sweep, cfg.max_round_trip_m, cfg.contour, cfg.denoise)
-            })
-            .collect()
+        }
     }
 
     /// The antenna array in use.
@@ -164,7 +163,7 @@ impl WiTrack {
     /// `stats.profile`, background + contour + denoise time into
     /// `stats.detect`, and the §5 solve into `stats.associate`.
     pub fn attach_stage_stats(&mut self, stats: witrack_obs::StageStats) {
-        self.stats = Some(stats);
+        self.front.attach_stage_stats(stats);
     }
 
     /// Pushes one sweep interval's baseband, one slice per receive antenna.
@@ -174,109 +173,96 @@ impl WiTrack {
     /// Panics if `per_rx.len()` differs from the number of receive antennas
     /// or any sweep has the wrong length.
     pub fn push_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<TrackUpdate> {
-        assert_eq!(
-            per_rx.len(),
-            self.estimators.len(),
-            "one sweep per receive antenna"
-        );
-        self.push_sweeps_inner(per_rx.iter().copied().map(Sweep::F64))
+        self.push_with_frames(per_rx.iter().map(|s| Sweep::F64(s)))
     }
 
-    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer:
-    /// antenna `k`'s sweep occupies
-    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]`. This is the
-    /// layout sweep batches arrive in off the wire, so the serving layer
-    /// feeds the pipeline without building a per-sweep slice table.
+    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer of
+    /// wire-quantized samples (`sample = q · scale`; antenna `k`'s sweep
+    /// occupies `flat[k * samples_per_sweep ..][.. samples_per_sweep]`).
+    /// The profile front half stays in fixed point (see
+    /// [`witrack_fmcw::RangeProfiler::push_sweep_q`]).
     ///
     /// # Panics
-    /// Panics if `flat.len()` is not exactly
-    /// `samples_per_sweep × num_rx`, or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<TrackUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.estimators.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(flat.chunks_exact(samples_per_sweep).map(Sweep::F64))
-    }
-
-    /// [`Self::push_sweeps_flat`] over wire-quantized samples
-    /// (`sample = q · scale`): the profile front half stays in fixed point
-    /// (see [`witrack_fmcw::RangeProfiler::push_sweep_q`]), so the serving
-    /// layer feeds i16 wire batches without a dequantization pass.
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not exactly
-    /// `samples_per_sweep × num_rx`, or `samples_per_sweep` is zero.
+    /// Panics if `flat.len()` is not exactly `samples_per_sweep × num_rx`,
+    /// or `samples_per_sweep` differs from the configured sweep.
     pub fn push_sweeps_flat_q(
         &mut self,
         flat: &[i16],
         samples_per_sweep: usize,
         scale: f64,
     ) -> Option<TrackUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.estimators.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(
-            flat.chunks_exact(samples_per_sweep)
-                .map(move |c| Sweep::Q(c, scale)),
-        )
+        self.push_with_frames(Sweep::Q(flat, scale).chunks(samples_per_sweep))
     }
 
-    fn push_sweeps_inner<'a>(
+    /// [`Self::step`], keeping each antenna's magnitudes for the update's
+    /// per-antenna frames.
+    fn push_with_frames<'a>(
         &mut self,
-        per_rx: impl Iterator<Item = Sweep<'a>>,
+        per_rx: impl ExactSizeIterator<Item = Sweep<'a>> + Clone,
     ) -> Option<TrackUpdate> {
-        // One per-antenna stage, stage-timed when histograms are attached
-        // (the timed path only measures frame-completing sweeps;
-        // accumulate-only sweeps record nothing).
-        let stats = &self.stats;
-        let frames: Vec<Option<TofFrame>> = self
-            .estimators
-            .iter_mut()
-            .zip(per_rx)
-            .map(|(est, sweep)| match stats {
-                Some(st) => {
-                    let mut times = witrack_fmcw::StageTimes::default();
-                    let frame = est.push_timed(sweep, &mut times);
-                    if frame.is_some() {
-                        st.profile.record(times.profile_ns);
-                        st.detect.record(times.detect_ns);
-                    }
-                    frame
-                }
-                None => est.push(sweep),
+        let mut magnitudes = Vec::new();
+        let (clock, position, held) = self.step(per_rx, |m| {
+            magnitudes.push(m.map_or_else(Vec::new, <[f64]>::to_vec))
+        })?;
+        let frames = magnitudes
+            .into_iter()
+            .zip(&self.antennas)
+            .map(|(magnitudes, &(detection, denoised))| TofFrame {
+                frame_index: clock.frame_index,
+                time_s: clock.time_s,
+                magnitudes,
+                detection,
+                denoised,
             })
             .collect();
-        // All estimators share the sweep clock, so they emit frames together.
-        if frames.iter().any(|f| f.is_none()) {
-            debug_assert!(
-                frames.iter().all(|f| f.is_none()),
-                "estimators desynchronized"
-            );
-            return None;
-        }
-        let frames: Vec<TofFrame> = frames.into_iter().map(|f| f.expect("checked")).collect();
-        let associate_start = self.stats.as_ref().map(|_| std::time::Instant::now());
-        let round_trips: Vec<Option<f64>> = frames.iter().map(|f| f.round_trip_m()).collect();
+        Some(TrackUpdate {
+            frame_index: clock.frame_index,
+            time_s: clock.time_s,
+            round_trips: self.round_trips().collect(),
+            position,
+            held,
+            frames,
+        })
+    }
+
+    /// Pushes one sweep interval through the front end; on a frame
+    /// boundary runs each antenna's contour and denoiser (showing `keep`
+    /// its background-subtracted magnitudes) and the §5 solve, returning
+    /// the frame's clock, position and held flag.
+    pub(crate) fn step<'a>(
+        &mut self,
+        per_rx: impl ExactSizeIterator<Item = Sweep<'a>> + Clone,
+        mut keep: impl FnMut(Option<&[f64]>),
+    ) -> Option<(FrameClock, Option<Vec3>, bool)> {
+        let dt = self.cfg.sweep.frame_duration_s();
+        let (contour, denoisers, antennas) =
+            (&mut self.contour, &mut self.denoisers, &mut self.antennas);
+        let clock = self.front.push(per_rx, |k, mags| {
+            antennas[k] = match mags {
+                None => (None, None),
+                Some(mags) => {
+                    let detection = contour.detect(mags);
+                    let raw = detection.map(|d| d.round_trip_m);
+                    (detection, denoisers[k].push(raw, dt))
+                }
+            };
+            keep(mags);
+        })?;
+        let associate_start = self.front.stage_stats().map(|_| std::time::Instant::now());
         // "Held" as soon as ANY antenna interpolates: a mixed live/frozen
         // solve is inconsistent (see the `held` field docs).
-        let held = frames
+        let held = self
+            .antennas
             .iter()
-            .any(|f| f.denoised.map(|d| d.held).unwrap_or(true));
-
+            .any(|(_, d)| d.map(|d| d.held).unwrap_or(true));
         let position = if held {
             self.held_position()
         } else {
-            let p = self.solve(&round_trips);
+            let mut round_trips = [None; MAX_RX];
+            for (rt, r) in round_trips.iter_mut().zip(self.round_trips()) {
+                *rt = r;
+            }
+            let p = self.solve(&round_trips[..self.antennas.len()]);
             if let Some(p) = p {
                 self.recent_live.push_back(p);
                 if self.recent_live.len() > RECENT_LIVE {
@@ -285,17 +271,15 @@ impl WiTrack {
             }
             p
         };
-        if let (Some(st), Some(start)) = (self.stats.as_ref(), associate_start) {
+        if let (Some(st), Some(start)) = (self.front.stage_stats(), associate_start) {
             st.associate.record_since(start);
         }
-        Some(TrackUpdate {
-            frame_index: frames[0].frame_index,
-            time_s: frames[0].time_s,
-            round_trips,
-            position,
-            held,
-            frames,
-        })
+        Some((clock, position, held))
+    }
+
+    /// The latest frame's denoised round trip per antenna.
+    fn round_trips(&self) -> impl Iterator<Item = Option<f64>> + '_ {
+        self.antennas.iter().map(|(_, d)| d.map(|d| d.round_trip_m))
     }
 
     /// Solves the 3D position from per-antenna round trips (all required;
@@ -335,8 +319,9 @@ impl WiTrack {
 
     /// Resets all stream state.
     pub fn reset(&mut self) {
-        for e in &mut self.estimators {
-            e.reset();
+        self.front.reset();
+        for d in &mut self.denoisers {
+            d.reset();
         }
         self.recent_live.clear();
     }

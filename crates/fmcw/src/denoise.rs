@@ -58,6 +58,9 @@ pub struct DenoisedDistance {
     pub held: bool,
 }
 
+/// Accepted raw detections whose median a hold reports.
+const RECENT_RAW: usize = 5;
+
 /// The §4.4 denoising stack for one antenna's contour stream.
 #[derive(Debug, Clone)]
 pub struct DistanceDenoiser {
@@ -154,8 +157,11 @@ impl DistanceDenoiser {
                 if self.recent_raw.is_empty() {
                     value
                 } else {
-                    let mut vals: Vec<f64> = self.recent_raw.iter().copied().collect();
-                    witrack_dsp::stats::median_in_place(&mut vals)
+                    let mut vals = [0.0; RECENT_RAW];
+                    for (v, &r) in vals.iter_mut().zip(&self.recent_raw) {
+                        *v = r;
+                    }
+                    witrack_dsp::stats::median_in_place(&mut vals[..self.recent_raw.len()])
                 }
             });
             self.kalman.hold_at(v);
@@ -163,7 +169,7 @@ impl DistanceDenoiser {
         } else {
             self.held_value = None;
             self.recent_raw.push_back(value);
-            if self.recent_raw.len() > 5 {
+            if self.recent_raw.len() > RECENT_RAW {
                 self.recent_raw.pop_front();
             }
             self.kalman.update(value, dt)

@@ -13,7 +13,12 @@
 //!        ──► [denoise]    outlier gate + hold + Kalman   ──► clean round-trip distance
 //! ```
 //!
-//! assembled end-to-end by [`TofEstimator`] (one per receive antenna).
+//! [`FrontEnd`] runs the first two stages for every receive antenna of a
+//! sensor and hands each frame's moving reflectors to the caller's contour
+//! step: the single-target pipeline (`witrack-core`) follows it with the
+//! bottom contour and the denoiser, the multi-target one (`witrack-mtt`)
+//! with the top-K contours. [`TofEstimator`] is the whole chain for one
+//! antenna.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,6 +27,7 @@ pub mod background;
 pub mod config;
 pub mod contour;
 pub mod denoise;
+pub mod front_end;
 pub mod pipeline;
 pub mod profile;
 pub mod spectrogram;
@@ -30,6 +36,7 @@ pub use background::BackgroundSubtractor;
 pub use config::SweepConfig;
 pub use contour::{ContourConfig, ContourTracker, Detection};
 pub use denoise::{DenoiseConfig, DenoisedDistance, DistanceDenoiser};
-pub use pipeline::{StageTimes, TofEstimator, TofFrame};
+pub use front_end::{FrameClock, FrontEnd};
+pub use pipeline::{DetectionRule, TofEstimator, TofFrame};
 pub use profile::{RangeProfiler, Sweep};
 pub use spectrogram::Spectrogram;

@@ -1,16 +1,17 @@
-//! The per-antenna TOF estimation pipeline (paper §4 end-to-end).
+//! The single-antenna TOF estimator (paper §4 end-to-end).
 //!
-//! One [`TofEstimator`] owns the §4 stages for a single receive antenna:
-//! sweep accumulation and FFT (§4.1), background subtraction (§4.2), bottom-
-//! contour tracking (§4.3), and denoising (§4.4). Push raw sweeps in; get a
-//! [`TofFrame`] out every `sweeps_per_frame` sweeps.
+//! One [`TofEstimator`] runs the §4 chain for a single receive antenna: the
+//! shared [`FrontEnd`] (sweep accumulation and FFT, §4.1; background
+//! subtraction, §4.2), then a contour rule (§4.3) and denoising (§4.4).
+//! Push raw sweeps in; get a [`TofFrame`] out every `sweeps_per_frame`
+//! sweeps. The figure harnesses and the §4.3 strongest-return ablation use
+//! it; the multi-antenna pipelines drive a [`FrontEnd`] directly.
 
-use crate::background::BackgroundSubtractor;
 use crate::config::SweepConfig;
 use crate::contour::{ContourConfig, ContourTracker, Detection};
 use crate::denoise::{DenoiseConfig, DenoisedDistance, DistanceDenoiser};
-use crate::profile::{RangeProfiler, Sweep};
-use witrack_dsp::window::WindowKind;
+use crate::front_end::FrontEnd;
+use crate::profile::Sweep;
 
 /// Output of the pipeline for one processing frame.
 #[derive(Debug, Clone)]
@@ -35,61 +36,35 @@ impl TofFrame {
     }
 }
 
-/// Wall times of the heavy per-antenna stages for one frame-completing
-/// sweep (see [`TofEstimator::push_timed`]). Nanoseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// Sweep accumulation + range profiling (the band transform).
-    pub profile_ns: u64,
-    /// Background subtraction + contour detection + denoising.
-    pub detect_ns: u64,
-}
+/// Picks the body's return from one frame of background-subtracted
+/// magnitudes: [`ContourTracker::detect`] (the bottom contour) or, for the
+/// §4.3 ablation, [`ContourTracker::detect_strongest`].
+pub type DetectionRule = fn(&mut ContourTracker, &[f64]) -> Option<Detection>;
 
 /// End-to-end §4 processing for one receive antenna.
-#[derive(Debug, Clone)]
 pub struct TofEstimator {
-    cfg: SweepConfig,
-    profiler: RangeProfiler,
-    background: BackgroundSubtractor,
+    front: FrontEnd,
     contour: ContourTracker,
+    rule: DetectionRule,
     denoiser: DistanceDenoiser,
-    frame_index: u64,
-    sweeps_seen: u64,
 }
 
 impl TofEstimator {
-    /// Creates an estimator with default contour/denoise tuning, keeping
-    /// range bins up to `max_round_trip_m`.
+    /// Creates a bottom-contour estimator with default contour/denoise
+    /// tuning, keeping range bins up to `max_round_trip_m`.
     pub fn new(cfg: SweepConfig, max_round_trip_m: f64) -> TofEstimator {
-        TofEstimator::with_tuning(
-            cfg,
-            max_round_trip_m,
-            ContourConfig::default(),
-            DenoiseConfig::default(),
-        )
+        TofEstimator::with_rule(cfg, max_round_trip_m, ContourTracker::detect)
     }
 
-    /// Creates an estimator with explicit tuning.
-    pub fn with_tuning(
-        cfg: SweepConfig,
-        max_round_trip_m: f64,
-        contour: ContourConfig,
-        denoise: DenoiseConfig,
-    ) -> TofEstimator {
+    /// Creates an estimator with default tuning that picks the body's
+    /// return by `rule`.
+    pub fn with_rule(cfg: SweepConfig, max_round_trip_m: f64, rule: DetectionRule) -> TofEstimator {
         TofEstimator {
-            cfg,
-            profiler: RangeProfiler::new(&cfg, WindowKind::Hann, max_round_trip_m),
-            background: BackgroundSubtractor::new(),
-            contour: ContourTracker::new(cfg, contour),
-            denoiser: DistanceDenoiser::new(denoise),
-            frame_index: 0,
-            sweeps_seen: 0,
+            front: FrontEnd::new(cfg, max_round_trip_m, 1),
+            contour: ContourTracker::new(cfg, ContourConfig::default()),
+            rule,
+            denoiser: DistanceDenoiser::new(DenoiseConfig::default()),
         }
-    }
-
-    /// Number of range bins in emitted magnitude frames.
-    pub fn num_bins(&self) -> usize {
-        self.profiler.keep_bins()
     }
 
     /// Pushes one sweep of baseband samples; returns a frame every
@@ -98,94 +73,32 @@ impl TofEstimator {
     /// # Panics
     /// Panics if `samples` is not exactly one sweep long.
     pub fn push_sweep(&mut self, samples: &[f64]) -> Option<TofFrame> {
-        self.push_inner(Sweep::F64(samples), None)
-    }
-
-    /// Pushes one wire-quantized sweep (`sample = q · scale`), keeping
-    /// the profile front half in fixed point (see
-    /// [`RangeProfiler::push_sweep_q`]).
-    ///
-    /// # Panics
-    /// Panics if `samples` is not exactly one sweep long.
-    pub fn push_sweep_q(&mut self, samples: &[i16], scale: f64) -> Option<TofFrame> {
-        self.push_inner(Sweep::Q(samples, scale), None)
-    }
-
-    /// Pushes one sweep in either representation.
-    ///
-    /// # Panics
-    /// Panics if the sweep is not exactly one sweep long.
-    pub fn push(&mut self, sweep: Sweep<'_>) -> Option<TofFrame> {
-        self.push_inner(sweep, None)
-    }
-
-    /// [`Self::push`], additionally reporting how long the two heavy
-    /// stages took on a frame-completing sweep: range profiling (the band
-    /// transform) in `times.profile_ns`, background subtraction + contour
-    /// detection + denoising in `times.detect_ns`. Accumulate-only sweeps
-    /// leave `times` untouched.
-    ///
-    /// # Panics
-    /// Panics if the sweep is not exactly one sweep long.
-    pub fn push_timed(&mut self, sweep: Sweep<'_>, times: &mut StageTimes) -> Option<TofFrame> {
-        self.push_inner(sweep, Some(times))
-    }
-
-    fn push_inner(
-        &mut self,
-        samples: Sweep<'_>,
-        mut times: Option<&mut StageTimes>,
-    ) -> Option<TofFrame> {
-        self.sweeps_seen += 1;
-        let profile_start = times
-            .as_ref()
-            .filter(|_| self.profiler.next_sweep_completes_frame())
-            .map(|_| std::time::Instant::now());
-        let profile = self.profiler.push(samples)?;
-        let detect_start = profile_start.map(|start| {
-            let now = std::time::Instant::now();
-            if let Some(t) = times.as_deref_mut() {
-                t.profile_ns = (now - start).as_nanos().min(u64::MAX as u128) as u64;
-            }
-            now
-        });
-        let dt = self.cfg.frame_duration_s();
-        let time_s = self.sweeps_seen as f64 * self.cfg.sweep_duration_s;
-
-        let frame = match self.background.push(profile) {
-            None => TofFrame {
-                frame_index: self.frame_index,
-                time_s,
-                magnitudes: Vec::new(),
-                detection: None,
-                denoised: None,
-            },
-            Some(mags) => {
-                let detection = self.contour.detect(mags);
-                let denoised = self.denoiser.push(detection.map(|d| d.round_trip_m), dt);
-                TofFrame {
-                    frame_index: self.frame_index,
-                    time_s,
-                    magnitudes: mags.to_vec(),
-                    detection,
-                    denoised,
+        let dt = self.front.config().frame_duration_s();
+        let (contour, rule, denoiser) = (&mut self.contour, self.rule, &mut self.denoiser);
+        let mut stage = (Vec::new(), None, None);
+        let clock = self
+            .front
+            .push(std::iter::once(Sweep::F64(samples)), |_, mags| {
+                if let Some(mags) = mags {
+                    let detection = rule(contour, mags);
+                    let denoised = denoiser.push(detection.map(|d| d.round_trip_m), dt);
+                    stage = (mags.to_vec(), detection, denoised);
                 }
-            }
-        };
-        if let (Some(start), Some(t)) = (detect_start, times) {
-            t.detect_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        }
-        self.frame_index += 1;
-        Some(frame)
+            })?;
+        let (magnitudes, detection, denoised) = stage;
+        Some(TofFrame {
+            frame_index: clock.frame_index,
+            time_s: clock.time_s,
+            magnitudes,
+            detection,
+            denoised,
+        })
     }
 
     /// Clears all stream state (baseline, denoiser history, counters).
     pub fn reset(&mut self) {
-        self.profiler.reset();
-        self.background.reset();
+        self.front.reset();
         self.denoiser.reset();
-        self.frame_index = 0;
-        self.sweeps_seen = 0;
     }
 }
 

@@ -51,7 +51,24 @@ impl<'a> From<&'a [f64]> for Sweep<'a> {
     }
 }
 
-impl Sweep<'_> {
+impl<'a> Sweep<'a> {
+    /// Splits one sweep interval's antenna-contiguous samples into
+    /// consecutive `samples_per_sweep`-long sweeps, one per antenna (the
+    /// last is shorter when the length is not a multiple).
+    pub fn chunks(
+        self,
+        samples_per_sweep: usize,
+    ) -> impl ExactSizeIterator<Item = Sweep<'a>> + Clone {
+        let len = self.len();
+        (0..len.div_ceil(samples_per_sweep)).map(move |k| {
+            let range = k * samples_per_sweep..len.min((k + 1) * samples_per_sweep);
+            match self {
+                Sweep::F64(s) => Sweep::F64(&s[range]),
+                Sweep::Q(s, scale) => Sweep::Q(&s[range], scale),
+            }
+        })
+    }
+
     /// Number of samples in the sweep.
     pub fn len(&self) -> usize {
         match self {

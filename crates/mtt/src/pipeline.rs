@@ -1,14 +1,13 @@
 //! The multi-target pipeline: sweeps in, N concurrent tracks out.
 //!
-//! [`MultiWiTrack`] mirrors [`witrack_core::WiTrack`]'s streaming interface
-//! (one baseband sweep per receive antenna per sweep interval, one output
-//! per frame) but lifts the §10 single-person assumption:
+//! [`MultiWiTrack`] runs the same per-antenna front end as
+//! [`witrack_core::WiTrack`] ([`witrack_fmcw::FrontEnd`]: one baseband
+//! sweep per receive antenna per sweep interval, one output per frame) but
+//! lifts the §10 single-person assumption:
 //!
 //! 1. **Top-K contours** — each antenna's background-subtracted range
 //!    profile yields up to `max_targets` contour detections
 //!    ([`witrack_fmcw::ContourTracker::detect_top_k_into`]) instead of one.
-//!    The antennas run one after another on the caller's thread (a
-//!    serving host's parallelism is its shards).
 //! 2. **Gated per-antenna association** — live tracks predict their
 //!    per-antenna round trips; a Hungarian assignment
 //!    ([`crate::assignment::GatedAssignment`]) matches detections to tracks
@@ -29,7 +28,7 @@
 //!    radial crossing, where two bodies share one contour) don't kill a
 //!    track.
 //!
-//! Every buffer — profiles, baselines, detections, association and
+//! Every buffer — the front end's, detections, association and
 //! initiation scratch — is reused across frames, so after warm-up a frame
 //! allocates only the two vectors of the [`MttUpdate`] it returns.
 //!
@@ -43,9 +42,8 @@ use crate::config::MttConfig;
 use crate::track::{MttTrack, TrackId, TrackPhase};
 use witrack_core::frame_pipeline::{FramePipeline, FrameReport, TargetReport};
 use witrack_core::pipeline::BuildError;
-use witrack_dsp::window::WindowKind;
 use witrack_fmcw::contour::Detection;
-use witrack_fmcw::{BackgroundSubtractor, ContourTracker, RangeProfiler, Sweep};
+use witrack_fmcw::{ContourTracker, FrontEnd, Sweep};
 use witrack_geom::multilateration::{solve_least_squares, GaussNewtonConfig};
 use witrack_geom::{AntennaArray, TArray, Vec3};
 
@@ -110,8 +108,7 @@ impl MttUpdate {
 pub struct MultiWiTrack {
     cfg: MttConfig,
     array: AntennaArray,
-    profilers: Vec<RangeProfiler>,
-    backgrounds: Vec<BackgroundSubtractor>,
+    front: FrontEnd,
     /// Per-antenna detection buffers, reused across frames.
     detections: Vec<Vec<Detection>>,
     /// Contour detection for every antenna (its only state is the
@@ -122,10 +119,6 @@ pub struct MultiWiTrack {
     scratch: FrameScratch,
     tracks: Vec<MttTrack>,
     next_id: u64,
-    frame_index: u64,
-    sweeps_seen: u64,
-    /// Per-stage latency histograms, when the owner attached them.
-    stats: Option<witrack_obs::StageStats>,
 }
 
 impl MultiWiTrack {
@@ -145,21 +138,13 @@ impl MultiWiTrack {
         cfg.base.sweep.validate().map_err(BuildError::BadSweep)?;
         let n_rx = array.num_rx();
         Ok(MultiWiTrack {
-            profilers: (0..n_rx)
-                .map(|_| {
-                    RangeProfiler::new(&cfg.base.sweep, WindowKind::Hann, cfg.base.max_round_trip_m)
-                })
-                .collect(),
-            backgrounds: (0..n_rx).map(|_| BackgroundSubtractor::new()).collect(),
+            front: FrontEnd::new(cfg.base.sweep, cfg.base.max_round_trip_m, n_rx),
             detections: (0..n_rx).map(|_| Vec::new()).collect(),
             contour: ContourTracker::new(cfg.base.sweep, cfg.base.contour),
             gn: GaussNewtonConfig::default(),
             scratch: FrameScratch::default(),
             tracks: Vec::new(),
             next_id: 0,
-            frame_index: 0,
-            sweeps_seen: 0,
-            stats: None,
             array,
             cfg,
         })
@@ -186,7 +171,7 @@ impl MultiWiTrack {
     /// `stats.detect`, and association + solve + initiation into
     /// `stats.associate`.
     pub fn attach_stage_stats(&mut self, stats: witrack_obs::StageStats) {
-        self.stats = Some(stats);
+        self.front.attach_stage_stats(stats);
     }
 
     /// Pushes one sweep interval's baseband, one slice per receive antenna.
@@ -196,129 +181,56 @@ impl MultiWiTrack {
     /// Panics if `per_rx.len()` differs from the number of receive antennas
     /// or any sweep has the wrong length.
     pub fn push_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<MttUpdate> {
-        assert_eq!(
-            per_rx.len(),
-            self.profilers.len(),
-            "one sweep per receive antenna"
-        );
-        self.push_sweeps_inner(per_rx.iter().copied().map(Sweep::F64))
+        self.push_frame(per_rx.iter().map(|s| Sweep::F64(s)))
     }
 
-    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer
-    /// (antenna `k` at `flat[k * samples_per_sweep ..][.. samples_per_sweep]`)
-    /// — the layout wire batches arrive in, so the serving layer feeds the
-    /// tracker without building per-sweep slice tables.
+    /// [`Self::push_sweeps`] over one flat, antenna-contiguous buffer of
+    /// wire-quantized samples (`sample = q · scale`; antenna `k` at
+    /// `flat[k * samples_per_sweep ..][.. samples_per_sweep]`), keeping the
+    /// profile front half in fixed point (see
+    /// [`witrack_fmcw::RangeProfiler::push_sweep_q`]).
     ///
     /// # Panics
     /// Panics if `flat.len()` is not exactly `samples_per_sweep × num_rx`,
-    /// or `samples_per_sweep` is zero.
-    pub fn push_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<MttUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.profilers.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(flat.chunks_exact(samples_per_sweep).map(Sweep::F64))
-    }
-
-    /// [`Self::push_sweeps_flat`] over wire-quantized samples
-    /// (`sample = q · scale`), keeping the profile front half in fixed
-    /// point (see [`witrack_fmcw::RangeProfiler::push_sweep_q`]).
-    ///
-    /// # Panics
-    /// Panics if `flat.len()` is not exactly `samples_per_sweep × num_rx`,
-    /// or `samples_per_sweep` is zero.
+    /// or `samples_per_sweep` differs from the configured sweep.
     pub fn push_sweeps_flat_q(
         &mut self,
         flat: &[i16],
         samples_per_sweep: usize,
         scale: f64,
     ) -> Option<MttUpdate> {
-        assert!(samples_per_sweep > 0, "sweeps cannot be empty");
-        assert_eq!(
-            flat.len(),
-            samples_per_sweep * self.profilers.len(),
-            "one sweep per receive antenna, packed contiguously"
-        );
-        self.push_sweeps_inner(
-            flat.chunks_exact(samples_per_sweep)
-                .map(move |c| Sweep::Q(c, scale)),
-        )
+        self.push_frame(Sweep::Q(flat, scale).chunks(samples_per_sweep))
     }
 
-    fn push_sweeps_inner<'a>(
+    fn push_frame<'a>(
         &mut self,
-        per_rx: impl Iterator<Item = Sweep<'a>>,
+        per_rx: impl ExactSizeIterator<Item = Sweep<'a>> + Clone,
     ) -> Option<MttUpdate> {
-        self.sweeps_seen += 1;
-        // All profilers share the sweep clock.
-        let completes = self
-            .profilers
-            .first()
-            .map(|p| p.next_sweep_completes_frame())
-            .unwrap_or(false);
-        if !completes {
-            for (prof, sweep) in self.profilers.iter_mut().zip(per_rx) {
-                let emitted = prof.push(sweep);
-                debug_assert!(emitted.is_none(), "profilers desynchronized");
-            }
-            return None;
-        }
-
-        // Frame-completing sweep: the per-antenna profile → background →
-        // top-K contour stage.
+        // The per-antenna profile → background → top-K contour stage.
         let budget = self.cfg.detection_budget();
         let min_sep = self.cfg.min_peak_separation_bins;
-        let stages = self
-            .profilers
-            .iter_mut()
-            .zip(self.backgrounds.iter_mut())
-            .zip(self.detections.iter_mut())
-            .zip(per_rx);
-        for (((prof, bg), dets), sweep) in stages {
-            let profile_start = self.stats.as_ref().map(|_| std::time::Instant::now());
-            let profile = prof.push(sweep).expect("frame-completing sweep");
-            let detect_start = profile_start.map(|start| {
-                let now = std::time::Instant::now();
-                self.stats
-                    .as_ref()
-                    .expect("timed only when attached")
-                    .profile
-                    .record((now - start).as_nanos().min(u64::MAX as u128) as u64);
-                now
-            });
-            match bg.push(profile) {
-                None => dets.clear(),
-                Some(mags) => self.contour.detect_top_k_into(mags, budget, min_sep, dets),
-            }
-            if let (Some(st), Some(start)) = (self.stats.as_ref(), detect_start) {
-                st.detect.record_since(start);
-            }
-        }
-
+        let (contour, detections) = (&mut self.contour, &mut self.detections);
+        let clock = self.front.push(per_rx, |k, mags| match mags {
+            None => detections[k].clear(),
+            Some(mags) => contour.detect_top_k_into(mags, budget, min_sep, &mut detections[k]),
+        })?;
         let dt = self.cfg.base.sweep.frame_duration_s();
-        let time_s = self.sweeps_seen as f64 * self.cfg.base.sweep.sweep_duration_s;
 
         // Take the detection buffers and scratch so &mut self methods can
         // run; both (and their capacity) are returned afterwards.
         let detections = std::mem::take(&mut self.detections);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let associate_start = self.stats.as_ref().map(|_| std::time::Instant::now());
+        let associate_start = self.front.stage_stats().map(|_| std::time::Instant::now());
         self.associate_and_update(&detections, dt, &mut scratch);
         self.initiate_tracks(&detections, &mut scratch);
         self.tracks.retain(|t| !t.is_dead());
-        if let (Some(st), Some(start)) = (self.stats.as_ref(), associate_start) {
+        if let (Some(st), Some(start)) = (self.front.stage_stats(), associate_start) {
             st.associate.record_since(start);
         }
 
         let update = MttUpdate {
-            frame_index: self.frame_index,
-            time_s,
+            frame_index: clock.frame_index,
+            time_s: clock.time_s,
             detections_per_antenna: detections.iter().map(|d| d.len()).collect(),
             tracks: self
                 .tracks
@@ -337,7 +249,6 @@ impl MultiWiTrack {
         };
         self.detections = detections;
         self.scratch = scratch;
-        self.frame_index += 1;
         Some(update)
     }
 
@@ -505,18 +416,11 @@ impl MultiWiTrack {
 
     /// Clears all stream and track state.
     pub fn reset(&mut self) {
-        for p in &mut self.profilers {
-            p.reset();
-        }
-        for b in &mut self.backgrounds {
-            b.reset();
-        }
+        self.front.reset();
         for d in &mut self.detections {
             d.clear();
         }
         self.tracks.clear();
-        self.frame_index = 0;
-        self.sweeps_seen = 0;
         // Track ids keep counting up: a reset mid-run must not recycle ids.
     }
 }
@@ -573,27 +477,9 @@ impl FramePipeline for MultiWiTrack {
         self.array.num_rx()
     }
 
-    fn process_sweeps(&mut self, per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.push_sweeps(per_rx).map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat(
-        &mut self,
-        flat: &[f64],
-        samples_per_sweep: usize,
-    ) -> Option<FrameReport> {
-        self.push_sweeps_flat(flat, samples_per_sweep)
-            .map(FrameReport::from)
-    }
-
-    fn process_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples_per_sweep: usize,
-        scale: f64,
-    ) -> Option<FrameReport> {
-        self.push_sweeps_flat_q(flat, samples_per_sweep, scale)
-            .map(FrameReport::from)
+    fn process_sweeps(&mut self, sweeps: Sweep<'_>) -> Option<FrameReport> {
+        let per_rx = sweeps.chunks(self.cfg.base.sweep.samples_per_sweep());
+        self.push_frame(per_rx).map(FrameReport::from)
     }
 
     fn reset(&mut self) {

@@ -1,8 +1,10 @@
-//! Counting-allocator proof that the multi-target frame path reuses its
-//! buffers: once they have grown to the scene's high-water mark, a
+//! Counting-allocator proof that the frame paths reuse their buffers:
+//! once they have grown to the scene's high-water mark, a
 //! [`MultiWiTrack::push_sweeps_flat_q`] frame allocates only the two
-//! vectors of the `MttUpdate` it returns, and range profilers sharing a
-//! plan on one thread allocate nothing per frame.
+//! vectors of the `MttUpdate` it returns, a single-target [`WiTrack`]
+//! frame served through [`FramePipeline`] allocates only its report's
+//! target list, and range profilers sharing a plan on one thread allocate
+//! nothing per frame.
 //!
 //! This file is its own test binary because it installs a global
 //! allocator. The allocator counts per thread, so tests running
@@ -10,12 +12,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use witrack_core::WiTrackConfig;
+use witrack_core::{FramePipeline, WiTrack, WiTrackConfig};
 use witrack_dsp::window::WindowKind;
-use witrack_fmcw::{RangeProfiler, SweepConfig};
+use witrack_fmcw::{RangeProfiler, Sweep, SweepConfig};
 use witrack_mtt::{MttConfig, MultiWiTrack};
+use witrack_sim::motion::{RandomWalk, Rect};
 use witrack_sim::multi::{scenario, MultiSimulator};
-use witrack_sim::{Scene, SimConfig};
+use witrack_sim::{BodyModel, Channel, Scene, SimConfig, Simulator};
 
 struct CountingAllocator;
 
@@ -130,6 +133,68 @@ fn mtt_frame_allocates_only_its_update() {
         "tracker idle in {} of {frames} measured frames",
         frames - frames_with_tracks
     );
+}
+
+#[test]
+fn witrack_serving_frame_allocates_only_its_targets() {
+    let sweep = SweepConfig::witrack_mid();
+    let mut wt = WiTrack::new(WiTrackConfig {
+        sweep,
+        max_round_trip_m: 40.0,
+        ..WiTrackConfig::witrack_default()
+    })
+    .expect("valid config");
+    // A walk with pauses: a standing person vanishes from the
+    // background-subtracted stream, so the denoisers' hold onset (the
+    // median of the recent raw detections) runs too.
+    let walk = RandomWalk::new(Rect::vicon_area(), 1.0, 1.0, 6.0, 0.5, 11);
+    let channel = Channel {
+        scene: Scene::witrack_lab(false),
+        array: wt.array().clone(),
+        body: BodyModel::adult(),
+        reference_amplitude: 100.0,
+    };
+    let sim_cfg = SimConfig {
+        sweep,
+        noise_std: 0.05,
+        seed: 11,
+    };
+    let mut sim = Simulator::new(sim_cfg, channel, Box::new(walk));
+    let mut recorded = Vec::new();
+    while let Some(set) = sim.next_sweeps() {
+        recorded.push(quantize(&set.per_rx));
+    }
+    // Warm-up pass, then the measured pass over the same frames.
+    for (flat, scale) in &recorded {
+        wt.process_sweeps(Sweep::Q(flat, *scale));
+    }
+    FramePipeline::reset(&mut wt);
+
+    let (mut frames, mut located, mut held) = (0, 0, 0);
+    for (i, (flat, scale)) in recorded.iter().enumerate() {
+        let (report, allocs) = allocations(|| wt.process_sweeps(Sweep::Q(flat, *scale)));
+        match report {
+            None => assert_eq!(allocs, 0, "sweep {i}: an accumulate-only sweep allocated"),
+            Some(r) => {
+                // `targets`, unless empty (an empty collect does not
+                // allocate).
+                let expected = u64::from(!r.targets.is_empty());
+                assert_eq!(
+                    allocs, expected,
+                    "sweep {i}: frame made {allocs} allocations"
+                );
+                frames += 1;
+                located += usize::from(!r.targets.is_empty());
+                held += usize::from(r.targets.iter().any(|t| t.held));
+            }
+        }
+    }
+    assert!(frames > 1000, "only {frames} measured frames");
+    assert!(
+        located > frames / 2,
+        "located in {located} of {frames} frames"
+    );
+    assert!(held > 0, "no held frame: the hold path went unmeasured");
 }
 
 #[test]

@@ -34,6 +34,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use witrack_core::{FramePipeline, FrameReport};
+use witrack_fmcw::Sweep;
 use witrack_obs::{
     AnomalyKind, Counter, FlightRecorder, Gauge, Histo, Label, Registry, StageStats,
 };
@@ -992,26 +993,19 @@ impl ShardWorker {
         // The hot loop: feed each sweep interval to the pipeline straight
         // off the pooled flat buffer (antennas are contiguous within an
         // interval, so no per-sweep slice table), collecting reports into
-        // the shard's reused scratch. Quantized batches stay i16 —
-        // `process_sweeps_flat_q` keeps the profile front half in fixed
-        // point and dequantizes late.
-        let samples = shape.samples_per_sweep as usize;
+        // the shard's reused scratch. Quantized batches stay i16 — the
+        // pipeline keeps the profile front half in fixed point and
+        // dequantizes late.
         let interval = shape.samples_per_interval();
         let mut updates = std::mem::take(&mut self.updates_scratch);
         updates.clear();
         for s in 0..shape.n_sweeps as usize {
             let range = s * interval..(s + 1) * interval;
-            let report = match &b.samples {
-                BatchSamples::F64(buf) => {
-                    session.pipeline.process_sweeps_flat(&buf[range], samples)
-                }
-                BatchSamples::I16(buf, scale) => {
-                    session
-                        .pipeline
-                        .process_sweeps_flat_q(&buf[range], samples, *scale)
-                }
+            let sweeps = match &b.samples {
+                BatchSamples::F64(buf) => Sweep::F64(&buf[range]),
+                BatchSamples::I16(buf, scale) => Sweep::Q(&buf[range], *scale),
             };
-            if let Some(report) = report {
+            if let Some(report) = session.pipeline.process_sweeps(sweeps) {
                 updates.push(report);
             }
         }

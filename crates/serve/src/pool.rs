@@ -26,7 +26,8 @@ use std::sync::{Arc, Mutex};
 /// dequantization scale. Quantized batches ride the whole socket → queue
 /// → pipeline path in `i16` — one quarter of the f64 memory traffic —
 /// and feed the fixed-point profile front half
-/// (`FramePipeline::process_sweeps_flat_q`) without a dequantization pass.
+/// (`FramePipeline::process_sweeps` with `Sweep::Q`) without a
+/// dequantization pass.
 #[derive(Debug)]
 pub enum BatchSamples {
     /// Dequantized samples, sweep-major (see [`crate::wire::SweepBatch`]).

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use witrack_core::{FramePipeline, FrameReport, WiTrackConfig};
-use witrack_fmcw::SweepConfig;
+use witrack_fmcw::{Sweep, SweepConfig};
 use witrack_geom::Vec3;
 use witrack_serve::engine::{EngineConfig, EngineEvent, OverloadPolicy, ShardedEngine, Submitted};
 use witrack_serve::factory::{hello_for, witrack_factory};
@@ -172,7 +172,7 @@ impl FramePipeline for SlowPipeline {
         3
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps(&mut self, _sweeps: Sweep<'_>) -> Option<FrameReport> {
         std::thread::sleep(std::time::Duration::from_millis(20));
         let r = FrameReport {
             frame_index: self.frame,

@@ -14,6 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use witrack_core::{FramePipeline, FrameReport};
+use witrack_fmcw::Sweep;
 use witrack_serve::engine::{EngineConfig, OverloadPolicy, ShardedEngine};
 use witrack_serve::transport::{in_proc_pair, RxMsg, Transport, TransportRx, TransportTx};
 use witrack_serve::wire::{self, Hello, Message, PipelineKind, SweepBatchQ};
@@ -59,6 +60,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Samples per sweep in the measured stream.
+const SAMPLES: u32 = 2500;
+
 /// A pipeline that consumes sweeps without touching the heap.
 struct NullPipeline {
     n_rx: usize,
@@ -70,36 +74,13 @@ impl FramePipeline for NullPipeline {
         self.n_rx
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
-        self.sweeps += 1;
-        None
-    }
-
-    fn process_sweeps_flat(&mut self, flat: &[f64], samples: usize) -> Option<FrameReport> {
-        assert_eq!(flat.len(), samples * self.n_rx);
+    fn process_sweeps(&mut self, sweeps: Sweep<'_>) -> Option<FrameReport> {
+        assert_eq!(sweeps.len(), SAMPLES as usize * self.n_rx);
         self.sweeps += 1;
         // Stall the first few (warmup) batches so the producer blocks on
         // the 1-deep shard queue: the channel's sender-side waker
         // structures are allocated lazily on first block, and that must
         // happen inside warmup, not mid-measurement.
-        if self.sweeps <= 15 {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        None
-    }
-
-    // Consume quantized sweeps in place — the trait's *default* would
-    // dequantize into a fresh `Vec<f64>`, which is exactly the allocation
-    // the i16 pass-through path exists to avoid (real pipelines override
-    // this the same way).
-    fn process_sweeps_flat_q(
-        &mut self,
-        flat: &[i16],
-        samples: usize,
-        _scale: f64,
-    ) -> Option<FrameReport> {
-        assert_eq!(flat.len(), samples * self.n_rx);
-        self.sweeps += 1;
         if self.sweeps <= 15 {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
@@ -113,7 +94,6 @@ impl FramePipeline for NullPipeline {
 
 #[test]
 fn steady_state_ingest_makes_zero_allocations_per_frame() {
-    const SAMPLES: u32 = 2500;
     const N_RX: u16 = 3;
     const SWEEPS: u16 = 5;
     const WARMUP: u64 = 50;

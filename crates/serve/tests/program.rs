@@ -12,6 +12,7 @@
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 use witrack_core::{FramePipeline, FrameReport, TargetReport};
+use witrack_fmcw::Sweep;
 use witrack_fuse::{FuseConfig, Registration, Zone};
 use witrack_geom::{RigidTransform, Vec3};
 use witrack_serve::engine::PipelineFactory;
@@ -177,7 +178,7 @@ impl FramePipeline for WalkerStub {
         1
     }
 
-    fn process_sweeps(&mut self, _per_rx: &[&[f64]]) -> Option<FrameReport> {
+    fn process_sweeps(&mut self, _sweeps: Sweep<'_>) -> Option<FrameReport> {
         let i = self.frame;
         self.frame += 1;
         // Triangle wave, period 20 frames, 0..1.5 m at 1.5 m/s — slow

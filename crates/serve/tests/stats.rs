@@ -120,6 +120,17 @@ fn v1_frames_cannot_carry_stats() {
 /// latency quantiles.
 #[test]
 fn tcp_stats_pull_reflects_pushed_frames() {
+    stats_pull_reflects_pushed_frames(PipelineKind::SingleTarget);
+}
+
+/// The same pull from a multi-target sensor: both backends time their
+/// stages through the one per-antenna front end, so the counts match.
+#[test]
+fn tcp_stats_pull_reflects_multi_target_frames() {
+    stats_pull_reflects_pushed_frames(PipelineKind::MultiTarget);
+}
+
+fn stats_pull_reflects_pushed_frames(kind: PipelineKind) {
     let base = reduced_base();
     let server = TcpServer::bind(
         "127.0.0.1:0",
@@ -136,9 +147,7 @@ fn tcp_stats_pull_reflects_pushed_frames() {
     ))
     .unwrap();
 
-    client
-        .hello(hello_for(&base, 7, PipelineKind::SingleTarget))
-        .unwrap();
+    client.hello(hello_for(&base, 7, kind)).unwrap();
     let frame = silent_frame(&base);
     for seq in 0..8u64 {
         client.send_sweeps(7, seq, &frame).unwrap();
